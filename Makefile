@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet lint test race test-cancel test-partition test-shardrpc test-incmine test-steal bench bench-storage bench-kernels smoke-server smoke-shards smoke-metrics smoke-subscribe smoke-explain bench-server bench-gate ci
+.PHONY: all build fmt vet lint test race test-cancel test-partition test-shardrpc test-incmine test-parallel bench bench-storage bench-kernels smoke-server smoke-shards smoke-metrics smoke-subscribe smoke-explain bench-server bench-gate ci
 
 all: build
 
@@ -75,14 +75,14 @@ test-incmine:
 	$(GO) test -race -count=1 ./internal/incmine ./internal/stream
 	$(GO) test -race -count=1 -run 'Subscribe|Incremental|Ingest|Delta|Eviction' ./internal/server ./internal/core
 
-## test-steal: the work-stealing scheduler and parallel-determinism suites
-## under the race detector at -cpu 1,4,8 — the scheduler's determinism,
-## steal-under-skew, cancellation and leak checks, plus the miner-level
-## exec-tuning identity matrix (short mode) pinning every registry miner
-## bit-identical across Workers × steal on/off × kernel vs scalar
-test-steal:
+## test-parallel: the shared worker pool and the parallel-determinism suite
+## under the race detector at -cpu 1,4,8 — the pool's bounds, ordering,
+## chunk-layout, cancellation and leak checks, plus the miner-level worker
+## count matrix (short mode) pinning every registry miner bit-identical
+## across Workers ∈ {1, 2, 8, GOMAXPROCS}
+test-parallel:
 	$(GO) test -race -cpu 1,4,8 -count=1 ./internal/parallel
-	$(GO) test -race -cpu 1,4,8 -count=1 -short -run TestExecTuningDeterminism ./internal/algo
+	$(GO) test -race -cpu 1,4,8 -count=1 -short -run TestWorkerCountDeterminism ./internal/algo
 
 ## bench: benchmark smoke run — one iteration each, so perf code keeps compiling and running
 bench:
@@ -97,10 +97,10 @@ bench-storage:
 
 ## bench-kernels: the hot-loop kernel benchmarks — intersection kernels vs
 ## their scalar references per postings-density band (the dense band's margin
-## is enforced), the DP verification kernel on the borderline and wide
-## candidate shapes, steal-on vs steal-off cold mines, and the accident@0.01
-## DPNB cold-mine p50, which must beat the committed BENCH_partition.json
-## unpartitioned baseline; writes BENCH_kernels.json
+## is enforced), the DP verification kernel against the reference
+## prob.PBFreqProbDP on the borderline and wide candidate shapes, and the
+## accident@0.01 DPNB cold-mine p50, which must beat the committed
+## BENCH_partition.json unpartitioned baseline; writes BENCH_kernels.json
 bench-kernels:
 	BENCH_KERNELS_OUT=$$(pwd)/BENCH_kernels.json BENCH_PARTITION_BASELINE=$$(pwd)/BENCH_partition.json \
 		$(GO) test ./internal/algo -run TestWriteKernelsBench -count=1 -v
@@ -168,4 +168,4 @@ bench-gate:
 		BENCH_incremental.json=BENCH_incremental.fresh.json
 
 ## ci: everything the pipeline runs
-ci: build fmt vet lint race test-cancel test-partition test-shardrpc test-incmine test-steal bench bench-storage bench-kernels smoke-server smoke-shards smoke-metrics smoke-subscribe smoke-explain bench-server bench-gate
+ci: build fmt vet lint race test-cancel test-partition test-shardrpc test-incmine test-parallel bench bench-storage bench-kernels smoke-server smoke-shards smoke-metrics smoke-subscribe smoke-explain bench-server bench-gate

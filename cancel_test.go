@@ -48,7 +48,7 @@ func TestMineContextCancel(t *testing.T) {
 
 // TestSupportsWorkersMetadata pins the registry-metadata answer on the
 // public surface: every algorithm has a parallel phase (UFP-growth, the
-// last serial holdout, gained work-stealing conditional-tree builds), and
+// last serial holdout, gained a first-level conditional-tree fan-out), and
 // unknown names report false.
 func TestSupportsWorkersMetadata(t *testing.T) {
 	for _, name := range umine.Algorithms() {

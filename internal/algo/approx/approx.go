@@ -44,16 +44,10 @@ type PDUApriori struct {
 	// Restrict confines the run to a candidate superset (phase 2 of the
 	// SON partition engine); see apriori.Config.Restrict. May be nil.
 	Restrict func(core.Itemset) bool
-	// Exec selects between equivalent execution strategies (results are
-	// bit-identical either way); see core.ExecTuning.
-	Exec core.ExecTuning
 }
 
 // SetWorkers implements core.ParallelMiner.
 func (m *PDUApriori) SetWorkers(workers int) { m.Workers = workers }
-
-// SetExecTuning implements core.ExecTunableMiner.
-func (m *PDUApriori) SetExecTuning(t core.ExecTuning) { m.Exec = t }
 
 // SetRestrict implements core.RestrictableMiner.
 func (m *PDUApriori) SetRestrict(allow func(core.Itemset) bool) { m.Restrict = allow }
@@ -82,7 +76,6 @@ func (m *PDUApriori) Mine(ctx context.Context, db *core.Database, th core.Thresh
 		Name:      m.Name(),
 		Progress:  m.Progress,
 		Restrict:  m.Restrict,
-		Exec:      m.Exec,
 		// The λ-threshold test is pure, so it may run on the pool.
 		ParallelDecide: true,
 		Decide: func(c *apriori.Candidate) (core.Result, bool) {
@@ -118,16 +111,10 @@ type NDUApriori struct {
 	// Restrict confines the run to a candidate superset (phase 2 of the
 	// SON partition engine); see apriori.Config.Restrict. May be nil.
 	Restrict func(core.Itemset) bool
-	// Exec selects between equivalent execution strategies (results are
-	// bit-identical either way); see core.ExecTuning.
-	Exec core.ExecTuning
 }
 
 // SetWorkers implements core.ParallelMiner.
 func (m *NDUApriori) SetWorkers(workers int) { m.Workers = workers }
-
-// SetExecTuning implements core.ExecTunableMiner.
-func (m *NDUApriori) SetExecTuning(t core.ExecTuning) { m.Exec = t }
 
 // SetRestrict implements core.RestrictableMiner.
 func (m *NDUApriori) SetRestrict(allow func(core.Itemset) bool) { m.Restrict = allow }
@@ -152,7 +139,6 @@ func (m *NDUApriori) Mine(ctx context.Context, db *core.Database, th core.Thresh
 		Name:     m.Name(),
 		Progress: m.Progress,
 		Restrict: m.Restrict,
-		Exec:     m.Exec,
 		// The Normal-tail test is pure, so it may run on the pool.
 		ParallelDecide: true,
 		Decide: func(c *apriori.Candidate) (core.Result, bool) {
@@ -189,16 +175,10 @@ type NDUHMine struct {
 	// Restrict confines the run to a candidate superset (phase 2 of the
 	// SON partition engine); see uhmine.Engine.Restrict. May be nil.
 	Restrict func(core.Itemset) bool
-	// Exec selects between equivalent execution strategies (results are
-	// bit-identical either way); see core.ExecTuning.
-	Exec core.ExecTuning
 }
 
 // SetWorkers implements core.ParallelMiner.
 func (m *NDUHMine) SetWorkers(workers int) { m.Workers = workers }
-
-// SetExecTuning implements core.ExecTunableMiner.
-func (m *NDUHMine) SetExecTuning(t core.ExecTuning) { m.Exec = t }
 
 // SetRestrict implements core.RestrictableMiner.
 func (m *NDUHMine) SetRestrict(allow func(core.Itemset) bool) { m.Restrict = allow }
@@ -223,7 +203,6 @@ func (m *NDUHMine) Mine(ctx context.Context, db *core.Database, th core.Threshol
 		Name:     m.Name(),
 		Progress: m.Progress,
 		Restrict: m.Restrict,
-		Exec:     m.Exec,
 		// No esup floor: the Normal tail decides directly. (A frequent
 		// itemset can have esup slightly below msc when its variance is
 		// high, so an msc floor would lose results.)

@@ -85,11 +85,6 @@ type Config struct {
 	// collected into per-candidate slots and appended in candidate order,
 	// so results and the next level's seeds are identical to a serial run.
 	ParallelDecide bool
-	// Exec selects between equivalent execution strategies (postings
-	// kernels vs their scalar references; see core.ExecTuning). Every
-	// value yields bit-identical results; the zero value enables the fast
-	// paths.
-	Exec core.ExecTuning
 	// Name labels ProgressEvents with the concrete miner's registry name
 	// (the framework is shared by five algorithms).
 	Name string

@@ -91,35 +91,31 @@ func TestVerticalCountBitIdenticalToHorizontal(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, workers := range []int{1, 4} {
-					// Both kernel sides of the tuning toggle must match the
-					// horizontal reference bitwise, not just each other.
-					for _, tuning := range []core.ExecTuning{{}, {DisableKernel: true}} {
-						var ex core.ExecStats
-						vertical := freshCandidates(base)
-						if err := countVertical(context.Background(), db, vertical, collectProbs, workers, &vs, tuning, &ex); err != nil {
-							t.Fatal(err)
+					var ex core.ExecStats
+					vertical := freshCandidates(base)
+					if err := countVertical(context.Background(), db, vertical, collectProbs, workers, &vs, &ex); err != nil {
+						t.Fatal(err)
+					}
+					for i := range horizontal {
+						h, v := &horizontal[i], &vertical[i]
+						if math.Float64bits(h.ESup) != math.Float64bits(v.ESup) ||
+							math.Float64bits(h.Var) != math.Float64bits(v.Var) {
+							t.Fatalf("%s k=%d workers=%d %v: vertical (%v,%v) != horizontal (%v,%v)",
+								db.Name, k, workers, h.Items, v.ESup, v.Var, h.ESup, h.Var)
 						}
-						for i := range horizontal {
-							h, v := &horizontal[i], &vertical[i]
-							if math.Float64bits(h.ESup) != math.Float64bits(v.ESup) ||
-								math.Float64bits(h.Var) != math.Float64bits(v.Var) {
-								t.Fatalf("%s k=%d workers=%d kernel=%v %v: vertical (%v,%v) != horizontal (%v,%v)",
-									db.Name, k, workers, !tuning.DisableKernel, h.Items, v.ESup, v.Var, h.ESup, h.Var)
+						if collectProbs {
+							if len(h.Probs) != len(v.Probs) {
+								t.Fatalf("%s %v: prob vector length %d vs %d", db.Name, h.Items, len(v.Probs), len(h.Probs))
 							}
-							if collectProbs {
-								if len(h.Probs) != len(v.Probs) {
-									t.Fatalf("%s %v: prob vector length %d vs %d", db.Name, h.Items, len(v.Probs), len(h.Probs))
-								}
-								for j := range h.Probs {
-									if math.Float64bits(h.Probs[j]) != math.Float64bits(v.Probs[j]) {
-										t.Fatalf("%s %v: prob[%d] %v vs %v", db.Name, h.Items, j, v.Probs[j], h.Probs[j])
-									}
+							for j := range h.Probs {
+								if math.Float64bits(h.Probs[j]) != math.Float64bits(v.Probs[j]) {
+									t.Fatalf("%s %v: prob[%d] %v vs %v", db.Name, h.Items, j, v.Probs[j], h.Probs[j])
 								}
 							}
 						}
-						if tuning.DisableKernel && ex.ScalarIntersects == 0 || !tuning.DisableKernel && ex.KernelIntersects == 0 {
-							t.Fatalf("%s: exec counters did not attribute the pass: %+v", db.Name, ex)
-						}
+					}
+					if ex.KernelIntersects == 0 {
+						t.Fatalf("%s: exec counters did not attribute the pass: %+v", db.Name, ex)
 					}
 				}
 			}
@@ -176,7 +172,7 @@ func TestVerticalCancellation(t *testing.T) {
 	cancel()
 	var stats core.MiningStats
 	var ex core.ExecStats
-	if err := countVertical(ctx, db, freshCandidates(cands), false, 4, &stats, core.ExecTuning{}, &ex); err != context.Canceled {
+	if err := countVertical(ctx, db, freshCandidates(cands), false, 4, &stats, &ex); err != context.Canceled {
 		t.Fatalf("canceled countVertical returned %v", err)
 	}
 }

@@ -71,16 +71,10 @@ type Miner struct {
 	// itemsets (phase 2 of the SON partition engine); see
 	// apriori.Config.Restrict. May be nil.
 	Restrict func(core.Itemset) bool
-	// Exec selects between equivalent execution strategies (results are
-	// bit-identical either way); see core.ExecTuning.
-	Exec core.ExecTuning
 }
 
 // SetWorkers implements core.ParallelMiner.
 func (m *Miner) SetWorkers(workers int) { m.Workers = workers }
-
-// SetExecTuning implements core.ExecTunableMiner.
-func (m *Miner) SetExecTuning(t core.ExecTuning) { m.Exec = t }
 
 // SetRestrict implements core.RestrictableMiner.
 func (m *Miner) SetRestrict(allow func(core.Itemset) bool) { m.Restrict = allow }
@@ -121,7 +115,6 @@ func (m *Miner) Mine(ctx context.Context, db *core.Database, th core.Thresholds)
 		ParallelDecide: true,
 		Name:           m.Name(),
 		Restrict:       m.Restrict,
-		Exec:           m.Exec,
 		Decide: func(c *apriori.Candidate) (core.Result, bool) {
 			if m.Chernoff && prob.ChernoffInfrequent(c.ESup, msc, th.PFT) {
 				chernoffPruned.Add(1)
@@ -162,15 +155,12 @@ func (m *Miner) Mine(ctx context.Context, db *core.Database, th core.Thresholds)
 }
 
 // freqProbFunc returns the per-itemset exact tail computation for the
-// configured method. The DP method dispatches to the internal/kernel
-// verification kernel — bit-identical to the prob package's reference
-// recurrence, which Exec.DisableKernel forces at runtime.
+// configured method. The DP method runs kernel.FreqTailDP, the optimized
+// §3.2.1 recurrence that the internal/kernel tests pin bit for bit to the
+// reference prob.PBFreqProbDP.
 func (m *Miner) freqProbFunc(msc int) func(ps []float64) float64 {
 	switch m.Method {
 	case DP:
-		if m.Exec.DisableKernel {
-			return func(ps []float64) float64 { return prob.PBFreqProbDP(ps, msc) }
-		}
 		return func(ps []float64) float64 { return kernel.FreqTailDP(ps, msc) }
 	case DC:
 		return func(ps []float64) float64 { return freqProbDC(ps, msc) }

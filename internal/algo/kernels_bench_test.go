@@ -17,6 +17,7 @@ import (
 	"umine/internal/dataset"
 	"umine/internal/kernel"
 	"umine/internal/parallel"
+	"umine/internal/prob"
 )
 
 // The hot-loop benchmark behind `make bench-kernels` and BENCH_kernels.json:
@@ -24,10 +25,8 @@ import (
 //   - the intersection kernels (Pair/KWay) against their scalar references
 //     across postings density bands — the dense band is where the 4-wide
 //     skip-ahead and bounds-check elimination must show up;
-//   - the DP verification kernel (FreqTailDP) against its reference on the
-//     borderline and wide candidate shapes;
-//   - cold mines with the work-stealing scheduler on vs off (UH-Mine, the
-//     subtree-recursion family the scheduler exists for);
+//   - the DP verification kernel (FreqTailDP) against its reference
+//     (prob.PBFreqProbDP) on the borderline and wide candidate shapes;
 //   - the gated end-to-end number: the accident @ 0.01 DPNB cold mine at
 //     GOMAXPROCS ≥ 4, which must beat the committed BENCH_partition.json
 //     unpartitioned baseline (BENCH_PARTITION_BASELINE points at it).
@@ -56,6 +55,8 @@ type kernelsBandReport struct {
 }
 
 // kernelsTailReport is one DP-verification row of BENCH_kernels.json.
+// KernelNsOp times kernel.FreqTailDP; ScalarNsOp times the reference
+// recurrence, prob.PBFreqProbDP.
 type kernelsTailReport struct {
 	Shape      string  `json:"shape"`
 	N          int     `json:"n"`
@@ -70,15 +71,7 @@ type kernelsBenchReport struct {
 	Benchmark string              `json:"benchmark"`
 	Bands     []kernelsBandReport `json:"bands"`
 	Tail      []kernelsTailReport `json:"tail"`
-
-	// The steal pair: the same UH-Mine cold mine with the work-stealing
-	// scheduler on vs off (results are bit-identical; only wall-clock moves).
-	StealProfile      string  `json:"steal_profile"`
-	StealScale        float64 `json:"steal_scale"`
-	StealMinESup      float64 `json:"steal_min_esup"`
-	ColdRuns          int     `json:"cold_runs"`
-	StealOnColdP50MS  float64 `json:"steal_on_cold_p50_ms"`
-	StealOffColdP50MS float64 `json:"steal_off_cold_p50_ms"`
+	ColdRuns  int                 `json:"cold_runs"`
 
 	// The gated end-to-end number: accident @ 0.01 DPNB (verification-
 	// dominated) with every kernel enabled, against the committed
@@ -325,7 +318,7 @@ func TestWriteKernelsBench(t *testing.T) {
 			}
 		}, func(b2 *testing.B) {
 			for i := 0; i < b2.N; i++ {
-				kernel.FreqTailDPScalar(ps, shape.minCount)
+				prob.PBFreqProbDP(ps, shape.minCount)
 			}
 		})
 		row.KernelNsOp, row.ScalarNsOp = mins[0], mins[1]
@@ -337,8 +330,8 @@ func TestWriteKernelsBench(t *testing.T) {
 		report.Tail = append(report.Tail, row)
 	}
 
-	// Cold mines below run at GOMAXPROCS ≥ 4 — the acceptance criterion's
-	// regime, where the stealing pool actually has somewhere to put work.
+	// The cold mine below runs at GOMAXPROCS ≥ 4, the regime its committed
+	// baseline was recorded in.
 	procs := runtime.GOMAXPROCS(0)
 	if procs < 4 {
 		procs = 4
@@ -354,16 +347,6 @@ func TestWriteKernelsBench(t *testing.T) {
 		}
 	}
 	report.ColdRuns = runs
-
-	// Steal on vs off: UH-Mine, whose below-first-level subtree recursion is
-	// what the scheduler parallelizes.
-	report.StealProfile, report.StealScale, report.StealMinESup = "accident", 0.01, 0.2
-	stealDB := dataset.Accident.GenerateUncertain(report.StealScale, 1)
-	stealTh := core.Thresholds{MinESup: report.StealMinESup}
-	report.StealOnColdP50MS = coldMineP50(t, "UH-Mine", core.Options{Workers: -1}, stealDB, stealTh, runs)
-	report.StealOffColdP50MS = coldMineP50(t, "UH-Mine",
-		core.Options{Workers: -1, Exec: core.ExecTuning{DisableSteal: true}}, stealDB, stealTh, runs)
-	t.Logf("UH-Mine cold p50: steal on %.2fms, steal off %.2fms", report.StealOnColdP50MS, report.StealOffColdP50MS)
 
 	// The gated end-to-end number, same workload as BENCH_partition.json's
 	// unpartitioned (k=1) level.

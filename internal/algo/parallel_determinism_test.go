@@ -13,10 +13,13 @@ import (
 
 // TestWorkerCountDeterminism is the contract of the parallel-execution
 // extension: every registered miner must return a bit-identical ResultSet
-// for Workers ∈ {1, 2, GOMAXPROCS}. The shared layer guarantees it by
-// construction — work decompositions depend only on the input and shard
-// merges happen in canonical order — and this test (run under -race in CI)
-// flushes both determinism regressions and shard-merge data races.
+// for Workers ∈ {1, 2, 8, GOMAXPROCS}. Eight workers is more than most
+// machines' CPUs and more than PaperDB's first-level roots, so idle workers
+// and oversubscription are both covered. The shared layer guarantees the
+// contract by construction — work decompositions depend only on the input
+// and shard merges happen in canonical order — and this test (run under
+// -race in CI) flushes both determinism regressions and shard-merge data
+// races.
 func TestWorkerCountDeterminism(t *testing.T) {
 	dbs := []*core.Database{
 		coretest.PaperDB(),
@@ -32,8 +35,8 @@ func TestWorkerCountDeterminism(t *testing.T) {
 		// CI job stays fast.
 		dbs = dbs[:2]
 	}
-	workerCounts := []int{1, 2}
-	if p := runtime.GOMAXPROCS(0); p != 1 && p != 2 {
+	workerCounts := []int{1, 2, 8}
+	if p := runtime.GOMAXPROCS(0); p != 1 && p != 2 && p != 8 {
 		workerCounts = append(workerCounts, p)
 	}
 	for _, db := range dbs {

@@ -72,16 +72,10 @@ type Miner struct {
 	Workers int
 	// Progress observes the run per level (may be nil).
 	Progress core.ProgressFunc
-	// Exec selects between equivalent execution strategies (results are
-	// bit-identical either way); see core.ExecTuning.
-	Exec core.ExecTuning
 }
 
 // SetWorkers implements core.ParallelMiner.
 func (m *Miner) SetWorkers(workers int) { m.Workers = workers }
-
-// SetExecTuning implements core.ExecTunableMiner.
-func (m *Miner) SetExecTuning(t core.ExecTuning) { m.Exec = t }
 
 // SetProgress implements core.ObservableMiner.
 func (m *Miner) SetProgress(fn core.ProgressFunc) { m.Progress = fn }
@@ -129,7 +123,6 @@ func (m *Miner) Mine(ctx context.Context, db *core.Database, th core.Thresholds)
 		// because Decide consumes the shared RNG stream in candidate order.
 		Workers: m.Workers,
 		Name:    m.Name(),
-		Exec:    m.Exec,
 		Decide: func(c *apriori.Candidate) (core.Result, bool) {
 			if !m.DisableChernoff && prob.ChernoffInfrequent(c.ESup, msc, th.PFT) {
 				stats.ChernoffPruned++

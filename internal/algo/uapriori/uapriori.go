@@ -34,16 +34,10 @@ type Miner struct {
 	// Restrict confines the run to a candidate superset (phase 2 of the
 	// SON partition engine); see apriori.Config.Restrict. May be nil.
 	Restrict func(core.Itemset) bool
-	// Exec selects between equivalent execution strategies (results are
-	// bit-identical either way); see core.ExecTuning.
-	Exec core.ExecTuning
 }
 
 // SetWorkers implements core.ParallelMiner.
 func (m *Miner) SetWorkers(workers int) { m.Workers = workers }
-
-// SetExecTuning implements core.ExecTunableMiner.
-func (m *Miner) SetExecTuning(t core.ExecTuning) { m.Exec = t }
 
 // SetRestrict implements core.RestrictableMiner.
 func (m *Miner) SetRestrict(allow func(core.Itemset) bool) { m.Restrict = allow }
@@ -80,7 +74,6 @@ func (m *Miner) Mine(ctx context.Context, db *core.Database, th core.Thresholds)
 	cfg.Name = m.Name()
 	cfg.Progress = m.Progress
 	cfg.Restrict = m.Restrict
-	cfg.Exec = m.Exec
 	results, stats, err := apriori.Run(ctx, db, cfg)
 	if err != nil {
 		return nil, err

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
 	"unsafe"
 
 	"umine/internal/core"
@@ -43,13 +42,12 @@ type Miner struct {
 	// plain UFP-tree.
 	Rounding int
 	// Workers bounds the goroutines of the conditional-tree walk: every
-	// non-empty top-level header item roots an independent walk scheduled
-	// as one work-stealing task, and large conditional subtrees fork back
-	// onto the pool mid-recursion (0 or 1 = serial, the paper's platform;
-	// negative = GOMAXPROCS). Results are identical for every worker
-	// count: the global tree is read-only during the walk, every
-	// conditional tree is built and owned by exactly one task, and the
-	// fork cutoff reads only the conditional tree's size.
+	// non-empty top-level header item roots an independent walk run as one
+	// task on the shared worker pool, with inline recursion below it (0 or
+	// 1 = serial, the paper's platform; negative = GOMAXPROCS). Results are
+	// identical for every worker count: the global tree is read-only during
+	// the walk, and every conditional tree is built and owned by exactly
+	// one task.
 	Workers int
 	// Progress observes the run per top-level conditional subtree (may be
 	// nil).
@@ -65,16 +63,10 @@ type Miner struct {
 	// umine/internal/partition). May receive transient itemsets it must
 	// not retain.
 	Restrict func(core.Itemset) bool
-	// Exec selects between equivalent execution strategies (results are
-	// bit-identical either way); see core.ExecTuning.
-	Exec core.ExecTuning
 }
 
 // SetWorkers implements core.ParallelMiner.
 func (m *Miner) SetWorkers(workers int) { m.Workers = workers }
-
-// SetExecTuning implements core.ExecTunableMiner.
-func (m *Miner) SetExecTuning(t core.ExecTuning) { m.Exec = t }
 
 // SetProgress implements core.ObservableMiner.
 func (m *Miner) SetProgress(fn core.ProgressFunc) { m.Progress = fn }
@@ -224,16 +216,20 @@ func (m *Miner) Mine(ctx context.Context, db *core.Database, th core.Thresholds)
 	stats.TrackPeak(liveBytes)
 
 	// Top-level fan-out: every non-empty header item roots an independent
-	// conditional-tree walk (the global tree is read-only from here on),
-	// scheduled in the serial walk's bottom-up order as one work-stealing
-	// task each; inside a walk, large conditional subtrees fork back onto
-	// the pool. Each task mines into its own accumulator node; nodes merge
-	// in fork order and roots in walk order below, so the result list —
-	// and, after the canonical sort, the ResultSet — is identical for
-	// every worker count and steal setting.
+	// conditional-tree walk (the global tree is read-only from here on), so
+	// the walks run as one task each on the shared worker pool, in the
+	// serial walk's bottom-up order, with plain inline recursion below.
+	// Each task mines into its own accumulator; accumulators merge in walk
+	// order below, so the result list — and, after the canonical sort, the
+	// ResultSet — is identical for every worker count.
+	type walk struct {
+		results []core.Result
+		stats   core.MiningStats
+	}
+	// statsBase freezes the pre-fan-out totals so concurrent walk
+	// completions can emit consistent snapshots without sharing counters.
 	statsBase := stats
 	done := ctx.Done()
-	forkOK := !m.Exec.DisableSteal
 	name := m.Name()
 	var rootRanks []int32
 	for r := len(t.headers) - 1; r >= 0; r-- {
@@ -241,114 +237,38 @@ func (m *Miner) Mine(ctx context.Context, db *core.Database, th core.Thresholds)
 			rootRanks = append(rootRanks, int32(r))
 		}
 	}
-	aggs := make([]*rootAgg, len(rootRanks))
-	tasks := make([]parallel.Task, len(rootRanks))
-	for i, r := range rootRanks {
-		r := r
-		ra := &rootAgg{name: name, progress: m.Progress, base: statsBase}
-		ra.pending.Store(1)
-		aggs[i] = ra
-		tasks[i] = func(f *parallel.Forker) {
-			st := &mineState{
-				items:    order,
-				minCount: minCount,
-				stats:    &ra.node.stats,
-				done:     done,
-				name:     name,
-				progress: m.Progress,
-				restrict: m.Restrict,
-				forker:   f,
-				forkOK:   forkOK,
-				node:     &ra.node,
-				root:     ra,
-			}
-			st.mineOne(t, nil, r, liveBytes)
-			ra.node.results = st.results
-			ra.finish(st.canceled)
+	walks, err := parallel.MapCtx(ctx, m.Workers, rootRanks, func(_ int, r int32) walk {
+		var ws core.MiningStats
+		st := &mineState{
+			items:    order,
+			minCount: minCount,
+			stats:    &ws,
+			done:     done,
+			restrict: m.Restrict,
 		}
-	}
-	ss, err := parallel.RunStealing(ctx, m.Workers, tasks)
+		st.mineOne(t, nil, r, liveBytes)
+		if st.canceled {
+			// A canceled walk's partials are discarded by the caller;
+			// emitting a snapshot for it would report work that never merges.
+			return walk{}
+		}
+		snap := statsBase
+		snap.Add(ws)
+		m.Progress.Emit(name, core.PhaseSubtree, 1, snap)
+		return walk{results: st.results, stats: ws}
+	})
 	if err != nil {
 		return nil, err
 	}
 	var results []core.Result
-	for _, ra := range aggs {
-		results = append(results, ra.results...)
-		stats.Add(ra.stats)
+	for _, w := range walks {
+		results = append(results, w.results...)
+		stats.Add(w.stats)
 	}
 	core.SortResults(results)
-	m.Progress.EmitExec(name, core.ExecStats{
-		TasksSpawned: ss.Spawned,
-		TasksStolen:  ss.Stolen,
-		ForksInline:  ss.Inline,
-	})
+	m.Progress.EmitExec(name, core.ExecStats{TasksSpawned: int64(len(rootRanks))})
 	m.Progress.Emit(name, core.PhaseDone, core.MaxItemsetLen(results), stats)
 	return m.resultSet(th, db.N(), results, stats), nil
-}
-
-// stealForkMinNodes is the fork cutoff of the conditional-tree walk: an
-// extension whose conditional tree reaches this many nodes is handed to the
-// work-stealing pool instead of recursed inline. A pure function of the
-// input-determined tree, never of worker availability (determinism contract
-// of parallel.RunStealing).
-const stealForkMinNodes = 256
-
-// mineNode is one task's private accumulator: the results and counters of
-// the walk it ran inline, plus the nodes of the subtrees it forked away, in
-// fork (DFS) order. No locks — exactly one task writes a node, and the
-// scheduler's completion edges order those writes before the flatten.
-type mineNode struct {
-	results  []core.Result
-	stats    core.MiningStats
-	children []*mineNode
-}
-
-// flatten folds the node tree depth-first in fork order, reproducing the
-// serial walk's aggregate (result order is canonicalized by
-// core.SortResults afterwards; counters are sums and peaks maxima, so the
-// fold order cannot move a bit).
-func (n *mineNode) flatten(results []core.Result, stats *core.MiningStats) []core.Result {
-	results = append(results, n.results...)
-	stats.Add(n.stats)
-	for _, c := range n.children {
-		results = c.flatten(results, stats)
-	}
-	return results
-}
-
-// rootAgg aggregates one top-level header item's walk across the tasks it
-// was split into. pending counts the root task plus its live forked
-// descendants; the task that brings it to zero owns the completed node tree
-// (the decrement publishes every task's writes), flattens it, and emits the
-// walk's PhaseSubtree event.
-type rootAgg struct {
-	name     string
-	progress core.ProgressFunc
-	base     core.MiningStats // pre-fan-out totals for progress snapshots
-	node     mineNode
-	pending  atomic.Int64
-	canceled atomic.Bool
-	results  []core.Result
-	stats    core.MiningStats
-}
-
-// finish retires one task of this root's walk.
-func (ra *rootAgg) finish(canceled bool) {
-	if canceled {
-		ra.canceled.Store(true)
-	}
-	if ra.pending.Add(-1) != 0 {
-		return
-	}
-	ra.results = ra.node.flatten(nil, &ra.stats)
-	if ra.canceled.Load() {
-		// A canceled walk's partials are discarded by the caller; emitting a
-		// snapshot for it would report work that never merges.
-		return
-	}
-	snap := ra.base
-	snap.Add(ra.stats)
-	ra.progress.Emit(ra.name, core.PhaseSubtree, 1, snap)
 }
 
 func (m *Miner) resultSet(th core.Thresholds, n int, results []core.Result, stats core.MiningStats) *core.ResultSet {
@@ -367,16 +287,7 @@ type mineState struct {
 	minCount float64
 	results  []core.Result
 	stats    *core.MiningStats
-	name     string
-	progress core.ProgressFunc
 	restrict func(core.Itemset) bool
-	// forker schedules forked conditional subtrees; forkOK gates forking
-	// (false under Exec.DisableSteal). node is this task's accumulator,
-	// root the top-level walk it belongs to.
-	forker *parallel.Forker
-	forkOK bool
-	node   *mineNode
-	root   *rootAgg
 	// done is the run context's cancellation channel (nil when the context
 	// cannot be canceled); canceled invalidates the partial results.
 	done     <-chan struct{}
@@ -397,7 +308,7 @@ func (st *mineState) mine(tr *tree, prefix []core.Item, liveBytes int64) {
 
 // mineOne processes one header item of tr: chain aggregation, the
 // frequentness test, and — when frequent — the conditional tree, recursed
-// inline or forked onto the work-stealing pool.
+// inline.
 func (st *mineState) mineOne(tr *tree, prefix []core.Item, r int32, liveBytes int64) {
 	// Per-header-item context check: bounds cancellation latency to one
 	// chain aggregation + conditional-tree construction at any depth.
@@ -469,49 +380,8 @@ func (st *mineState) mineOne(tr *tree, prefix []core.Item, r int32, liveBytes in
 		cond.insert(path, n.weight*n.prob, n.weightSq*n.prob*n.prob)
 	}
 	condBytes := cond.bytes()
-	if st.forkOK && cond.nodes >= stealForkMinNodes {
-		st.forkSubtree(ext, cond, condBytes, liveBytes)
-		return
-	}
 	st.stats.TrackPeak(liveBytes + condBytes)
 	if cond.nodes > 0 {
 		st.mine(cond, ext, liveBytes+condBytes)
 	}
-}
-
-// forkSubtree hands an extension's conditional-tree walk to the scheduler
-// with its own accumulator node. The child starts from the live-byte level
-// the inline recursion would have (parent's path plus the conditional tree)
-// and the parent tracks the fork-point peak itself, so the DFS-path memory
-// model — and with it MiningStats after the max-merge — is bit-identical to
-// inline recursion. ext's backing array is reused by the caller's walk, so
-// the prefix is copied before the task escapes; cond is freshly built and
-// owned by the forked task.
-func (st *mineState) forkSubtree(ext []core.Item, cond *tree, condBytes, liveBytes int64) {
-	prefix := make([]core.Item, len(ext))
-	copy(prefix, ext)
-	child := &mineNode{}
-	st.node.children = append(st.node.children, child)
-	st.root.pending.Add(1)
-	st.stats.TrackPeak(liveBytes + condBytes)
-	items, minCount, name, progress, restrict := st.items, st.minCount, st.name, st.progress, st.restrict
-	root, done := st.root, st.done
-	st.forker.Fork(func(f *parallel.Forker) {
-		cm := &mineState{
-			items:    items,
-			minCount: minCount,
-			stats:    &child.stats,
-			name:     name,
-			progress: progress,
-			restrict: restrict,
-			forker:   f,
-			forkOK:   true,
-			node:     child,
-			root:     root,
-			done:     done,
-		}
-		cm.mine(cond, prefix, liveBytes+condBytes)
-		child.results = cm.results
-		root.finish(cm.canceled)
-	})
 }

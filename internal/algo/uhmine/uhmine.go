@@ -19,16 +19,10 @@ type Miner struct {
 	// Restrict confines the run to a candidate superset (phase 2 of the
 	// SON partition engine); see Engine.Restrict. May be nil.
 	Restrict func(core.Itemset) bool
-	// Exec selects between equivalent execution strategies (results are
-	// bit-identical either way); see core.ExecTuning.
-	Exec core.ExecTuning
 }
 
 // SetWorkers implements core.ParallelMiner.
 func (m *Miner) SetWorkers(workers int) { m.Workers = workers }
-
-// SetExecTuning implements core.ExecTunableMiner.
-func (m *Miner) SetExecTuning(t core.ExecTuning) { m.Exec = t }
 
 // SetRestrict implements core.RestrictableMiner.
 func (m *Miner) SetRestrict(allow func(core.Itemset) bool) { m.Restrict = allow }
@@ -54,7 +48,6 @@ func (m *Miner) Mine(ctx context.Context, db *core.Database, th core.Thresholds)
 		Name:      m.Name(),
 		Progress:  m.Progress,
 		Restrict:  m.Restrict,
-		Exec:      m.Exec,
 		Decide: func(items core.Itemset, esup, varsup float64) (core.Result, bool) {
 			if esup >= minCount-core.Eps {
 				return core.Result{Itemset: items, ESup: esup, Var: varsup}, true

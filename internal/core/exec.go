@@ -1,34 +1,33 @@
 package core
 
-// Execution-layer observability and tuning. MiningStats is part of the
-// deterministic result contract — bit-identical at every Workers value — so
-// counters that describe *how* a run executed rather than *what* it computed
-// (steal interleavings, which kernel implementation served an intersection)
-// must live elsewhere. ExecStats is that elsewhere: a side channel surfaced
+// Execution-layer observability. MiningStats is part of the deterministic
+// result contract — bit-identical at every Workers value — so counters that
+// describe *how* a run executed rather than *what* it computed (how the work
+// was split into tasks, which postings kernels served the intersections)
+// live elsewhere. ExecStats is that elsewhere: a side channel surfaced
 // through Progress (PhaseExec) and the EXPLAIN plan, never through the
 // ResultSet.
 
-// ExecStats counts execution-layer activity during one run: work-stealing
-// scheduler traffic and postings-kernel dispatch. The counts are
-// observational — Stolen depends on timing and worker count, Kernel/Scalar
-// on the ExecTuning toggles — and must never feed result data or
-// MiningStats.
+// ExecStats counts execution-layer activity during one run: first-level
+// fan-out tasks and postings-kernel dispatch. The counts are observational
+// and must never feed result data or MiningStats.
 type ExecStats struct {
-	// TasksSpawned counts tasks submitted to the work-stealing scheduler
-	// (roots plus forks). A pure function of the input and the fork cutoff.
+	// TasksSpawned counts the first-level fan-out tasks of the recursive
+	// miners: one per frequent singleton (UH-Mine, NDUH-Mine) or non-empty
+	// top-level header item (UFP-growth). A pure function of the input.
 	TasksSpawned int64 `json:"tasks_spawned,omitempty"`
-	// TasksStolen counts tasks executed by a worker other than the one
-	// that forked them. Timing-dependent; always 0 in a serial run.
+	// TasksStolen is always 0: no scheduler moves tasks between workers.
+	// It stays because the repository's benchmark module compiles against
+	// it and reports a steal fraction from it.
 	TasksStolen int64 `json:"tasks_stolen,omitempty"`
-	// ForksInline counts forks executed as direct recursion because the
-	// run was serial or stealing was disabled.
-	ForksInline int64 `json:"forks_inline,omitempty"`
 	// KernelIntersects counts vertical-plan intersections served by the
-	// optimized internal/kernel implementations.
+	// internal/kernel implementations.
 	KernelIntersects int64 `json:"kernel_intersects,omitempty"`
-	// ScalarIntersects counts vertical-plan intersections served by the
-	// scalar reference path (ExecTuning.DisableKernel, or builds where the
-	// kernels are unavailable).
+	// ScalarIntersects is always 0: the vertical plan always runs the
+	// internal/kernel implementations, and the scalar references are
+	// test-only. It stays because the repository's benchmark module
+	// compiles against it and checks its replayed intersection count
+	// against KernelIntersects+ScalarIntersects.
 	ScalarIntersects int64 `json:"scalar_intersects,omitempty"`
 }
 
@@ -36,7 +35,6 @@ type ExecStats struct {
 func (s *ExecStats) Add(other ExecStats) {
 	s.TasksSpawned += other.TasksSpawned
 	s.TasksStolen += other.TasksStolen
-	s.ForksInline += other.ForksInline
 	s.KernelIntersects += other.KernelIntersects
 	s.ScalarIntersects += other.ScalarIntersects
 }
@@ -44,30 +42,6 @@ func (s *ExecStats) Add(other ExecStats) {
 // Zero reports whether no execution-layer activity was recorded.
 func (s ExecStats) Zero() bool {
 	return s == ExecStats{}
-}
-
-// ExecTuning selects between equivalent execution strategies. Every
-// combination produces a bit-identical ResultSet — the toggles move work
-// between implementations that are asserted equal, existing so benchmarks
-// and the identity matrix can pin one side of each comparison. The zero
-// value enables everything (the fast paths).
-type ExecTuning struct {
-	// DisableSteal forces recursive miners onto inline recursion below
-	// their fan-out level even when Workers > 1 (the pre-steal execution
-	// shape; first-level fan-out still parallelizes).
-	DisableSteal bool
-	// DisableKernel forces the vertical counting plan onto the scalar
-	// reference loops instead of the internal/kernel implementations.
-	DisableKernel bool
-}
-
-// ExecTunableMiner is implemented by miners honoring ExecTuning. Like every
-// optional knob, miners without tunable execution simply do not implement
-// it.
-type ExecTunableMiner interface {
-	Miner
-	// SetExecTuning installs the Options.Exec knob.
-	SetExecTuning(t ExecTuning)
 }
 
 // EmitExec invokes the hook with a PhaseExec event when non-nil and the

@@ -33,11 +33,6 @@ type Options struct {
 	// far. Observation is passive — installing a Progress hook never changes
 	// the mined results. See ProgressFunc for the concurrency contract.
 	Progress ProgressFunc
-	// Exec selects between equivalent execution strategies (work stealing,
-	// postings kernels). Every ExecTuning value produces a bit-identical
-	// ResultSet; the zero value enables all fast paths. Honored by miners
-	// implementing ExecTunableMiner, ignored otherwise.
-	Exec ExecTuning
 }
 
 // ParallelMiner is implemented by miners whose execution can be sharded
@@ -90,10 +85,6 @@ func ApplyOptions(m Miner, opts Options) bool {
 	}
 	if om, ok := m.(ObservableMiner); ok && opts.Progress != nil {
 		om.SetProgress(opts.Progress)
-		applied = true
-	}
-	if em, ok := m.(ExecTunableMiner); ok {
-		em.SetExecTuning(opts.Exec)
 		applied = true
 	}
 	return applied

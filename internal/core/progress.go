@@ -40,9 +40,9 @@ const (
 	// protocol's invalidation path). Level carries the 1-based shard
 	// ordinal.
 	PhaseShardRepush ProgressPhase = "shard-repush"
-	// PhaseExec is a run's execution-layer report: scheduler and kernel
-	// counters (ExecStats) that depend on timing, worker count, or the
-	// ExecTuning toggles and therefore live outside MiningStats. Emitted at
+	// PhaseExec is a run's execution-layer report: fan-out and kernel
+	// counters (ExecStats) that describe how the run executed rather than
+	// what it computed, and therefore live outside MiningStats. Emitted at
 	// most once per run, before the done event; Stats is empty and Exec
 	// carries the counters.
 	PhaseExec ProgressPhase = "exec"
@@ -68,8 +68,8 @@ type ProgressEvent struct {
 	// run totals.
 	Stats MiningStats
 	// Exec carries the execution-layer counters on PhaseExec events and is
-	// zero on every other phase. Unlike Stats, these counters may differ
-	// between worker counts and tuning configurations.
+	// zero on every other phase. Unlike Stats, these counters are not part
+	// of the result contract.
 	Exec ExecStats
 }
 

@@ -7,10 +7,9 @@
 //
 // Every optimized entry point (Pair, KWay) has a scalar reference
 // (PairScalar, KWayScalar) that is the plan's original loop moved here
-// verbatim; the optimized kernels are asserted bit-identical to the
-// references by the package tests (including a fuzz target) and by the
-// miner-level identity matrix, and callers can force the reference path at
-// runtime through core.ExecTuning.DisableKernel.
+// verbatim. The vertical plan always runs the optimized kernels; the
+// references exist for the package tests (including fuzz targets), which
+// assert the kernels bit-identical to them.
 //
 // # The layout contract
 //

@@ -3,10 +3,10 @@ package kernel
 // The exact probabilistic miners' verification kernel: the §3.2.1 dynamic
 // program for Pr{K ≥ minCount} over a candidate's per-transaction
 // containment probabilities. Profiles of the DP miner family are >95% this
-// one rolling-row loop, so it gets the same treatment as the intersection
-// kernels: an optimized entry point (FreqTailDP) pinned bitwise against the
-// verbatim reference (FreqTailDPScalar), selectable at runtime through
-// core.ExecTuning.DisableKernel.
+// one rolling-row loop, so it gets an optimized implementation (FreqTailDP)
+// pinned bitwise by this package's unit and fuzz tests against the
+// reference recurrence, prob.PBFreqProbDP. FreqTailDP is the only DP the
+// miners run; the reference exists for tests and benchmarks.
 //
 // The contract: ps are probabilities in [0, 1]. The optimizations lean on
 // that domain — the skipped regions below are exactly zero only because no
@@ -35,7 +35,7 @@ package kernel
 // threshold (the ones count pruning lets through), that approaches O(N).
 
 // FreqTailDP computes Pr{K ≥ minCount} for the Poisson-Binomial with trial
-// probabilities ps. Bit-identical to FreqTailDPScalar on every input in the
+// probabilities ps. Bit-identical to prob.PBFreqProbDP on every input in the
 // [0, 1] domain.
 func FreqTailDP(ps []float64, minCount int) float64 {
 	if minCount <= 0 {
@@ -79,36 +79,6 @@ func FreqTailDP(ps []float64, minCount int) float64 {
 		}
 		if i == lo {
 			row[i] = row[i-1]*p + hi*q
-		}
-	}
-	v := row[minCount]
-	if v > 1 {
-		v = 1
-	}
-	if v < 0 {
-		v = 0
-	}
-	return v
-}
-
-// FreqTailDPScalar is the reference dynamic program — the prob package's
-// original rolling-row loop, moved here verbatim. It defines the bits
-// FreqTailDP must reproduce.
-func FreqTailDPScalar(ps []float64, minCount int) float64 {
-	if minCount <= 0 {
-		return 1
-	}
-	if minCount > len(ps) {
-		return 0
-	}
-	row := make([]float64, minCount+1)
-	row[0] = 1
-	for _, p := range ps {
-		if p == 0 {
-			continue
-		}
-		for i := minCount; i >= 1; i-- {
-			row[i] = row[i-1]*p + row[i]*(1-p)
 		}
 	}
 	v := row[minCount]

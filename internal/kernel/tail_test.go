@@ -30,15 +30,15 @@ func genProbs(rng *rand.Rand, n int, zeroFrac, oneFrac float64) []float64 {
 func tailEqual(t *testing.T, label string, ps []float64, minCount int) {
 	t.Helper()
 	got := FreqTailDP(ps, minCount)
-	want := FreqTailDPScalar(ps, minCount)
+	want := prob.PBFreqProbDP(ps, minCount)
 	if math.Float64bits(got) != math.Float64bits(want) {
-		t.Fatalf("%s (n=%d, minCount=%d): FreqTailDP %v (%#x) != scalar %v (%#x)",
+		t.Fatalf("%s (n=%d, minCount=%d): FreqTailDP %v (%#x) != reference %v (%#x)",
 			label, len(ps), minCount, got, math.Float64bits(got), want, math.Float64bits(want))
 	}
 }
 
-// TestFreqTailDPMatchesScalar pins the optimized DP bitwise to the scalar
-// reference across the shapes that exercise each skipped region: minCount
+// TestFreqTailDPMatchesScalar pins the optimized DP bitwise to the
+// reference recurrence, prob.PBFreqProbDP, across the shapes that exercise each skipped region: minCount
 // close to n (the dead window dominates), minCount tiny (the zero triangle
 // dominates), vectors with exact zeros (the conservative remaining-steps
 // bound) and exact ones, plus the degenerate thresholds.
@@ -99,8 +99,8 @@ func decodeProbs(data []byte) []float64 {
 }
 
 // FuzzFreqTailBitIdentity fuzzes the satellite property for the DP kernel:
-// bit-identity to the scalar reference across arbitrary probability vectors
-// and thresholds.
+// bit-identity to the reference recurrence (prob.PBFreqProbDP) across
+// arbitrary probability vectors and thresholds.
 func FuzzFreqTailBitIdentity(f *testing.F) {
 	f.Add([]byte{}, 0)
 	f.Add([]byte{32, 0, 64, 17}, 2)
@@ -131,10 +131,10 @@ func BenchmarkFreqTailDPBorderline(b *testing.B) {
 	}
 }
 
-func BenchmarkFreqTailDPScalarBorderline(b *testing.B) {
+func BenchmarkFreqTailDPReferenceBorderline(b *testing.B) {
 	ps := benchProbs(800)
 	for i := 0; i < b.N; i++ {
-		FreqTailDPScalar(ps, 681)
+		prob.PBFreqProbDP(ps, 681)
 	}
 }
 
@@ -145,9 +145,9 @@ func BenchmarkFreqTailDPWide(b *testing.B) {
 	}
 }
 
-func BenchmarkFreqTailDPScalarWide(b *testing.B) {
+func BenchmarkFreqTailDPReferenceWide(b *testing.B) {
 	ps := benchProbs(3400)
 	for i := 0; i < b.N; i++ {
-		FreqTailDPScalar(ps, 681)
+		prob.PBFreqProbDP(ps, 681)
 	}
 }

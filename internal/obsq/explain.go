@@ -40,11 +40,10 @@ type Explanation struct {
 	MaxLevel  int     `json:"max_level,omitempty"`
 	ElapsedMS float64 `json:"elapsed_ms"`
 	Totals    Cost    `json:"totals"`
-	// Sched is the execution-layer breakdown — work-stealing scheduler
-	// traffic and postings-kernel dispatch — when the run's miners reported
-	// one (core.PhaseExec). Unlike Totals it describes how the run executed,
-	// not what it computed: the counters vary with worker count and
-	// core.ExecTuning while the mined bits do not.
+	// Sched is the execution-layer breakdown — first-level fan-out tasks
+	// and postings-kernel dispatch — when the run's miners reported one
+	// (core.PhaseExec). Unlike Totals it describes how the run executed,
+	// not what it computed; see core.ExecStats.
 	Sched *core.ExecStats `json:"sched,omitempty"`
 
 	// The executed plan, step by step, plus shard-robustness activity.

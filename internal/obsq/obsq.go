@@ -122,7 +122,7 @@ func (c *Collector) observe(ev core.ProgressEvent) {
 		c.events = append(c.events, ShardEvent{Kind: string(ev.Phase), Shard: ev.Level, At: now})
 		return
 	case core.PhaseExec:
-		// Execution-layer counters (steal traffic, kernel dispatch) arrive
+		// Execution-layer counters (fan-out tasks, kernel dispatch) arrive
 		// once per mining run; partitioned and sharded queries run several
 		// mines, so the deltas sum.
 		c.exec.Add(ev.Exec)

@@ -121,7 +121,7 @@ func TestCollectorExecFold(t *testing.T) {
 		TasksSpawned: 10, TasksStolen: 3, KernelIntersects: 100,
 	}})
 	fn(core.ProgressEvent{Phase: core.PhaseExec, Exec: core.ExecStats{
-		TasksSpawned: 4, ForksInline: 2, ScalarIntersects: 5,
+		TasksSpawned: 4, ScalarIntersects: 5,
 	}})
 	steps, _, _, _ := col.Snapshot()
 	if len(steps) != 0 {
@@ -131,7 +131,7 @@ func TestCollectorExecFold(t *testing.T) {
 	if !ok {
 		t.Fatal("exec counters not recorded")
 	}
-	want := core.ExecStats{TasksSpawned: 14, TasksStolen: 3, ForksInline: 2, KernelIntersects: 100, ScalarIntersects: 5}
+	want := core.ExecStats{TasksSpawned: 14, TasksStolen: 3, KernelIntersects: 100, ScalarIntersects: 5}
 	if ex != want {
 		t.Errorf("exec = %+v, want %+v", ex, want)
 	}

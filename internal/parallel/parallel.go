@@ -1,7 +1,9 @@
 // Package parallel is the shared parallel-execution layer of the platform:
 // a bounded worker pool plus sharded map/merge helpers used by every miner
 // family (the apriori counting pass, the exact miners' per-candidate
-// verification, UH-Mine's first-level prefix fan-out).
+// verification, the first-level fan-out of UH-Mine, NDUH-Mine and
+// UFP-growth). The recursive miners hand the pool one task per first-level
+// subtree and recurse inline below it.
 //
 // The paper's uniform platform is single-threaded; parallel execution is an
 // extension, so the layer is built around two invariants that keep the

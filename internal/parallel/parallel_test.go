@@ -131,3 +131,36 @@ func TestNumChunksEdges(t *testing.T) {
 		t.Errorf("size 0 does not default: %d", got)
 	}
 }
+
+// TestChunkSizeForSpanInvariants: the adaptive size is a pure function of
+// (n, units), refines ChunkSizeFor (never smaller), and shrinks as density
+// grows.
+func TestChunkSizeForSpanInvariants(t *testing.T) {
+	cases := []struct{ n, units int }{
+		{0, 0}, {1, 1}, {100, 400}, {100_000, 300_000},
+		{100_000, 5_000_000}, {1_000_000, 2_000_000}, {50_000, 50_000 * 40},
+	}
+	for _, c := range cases {
+		got := ChunkSizeForSpan(c.n, c.units)
+		if again := ChunkSizeForSpan(c.n, c.units); again != got {
+			t.Fatalf("n=%d units=%d: not deterministic (%d vs %d)", c.n, c.units, got, again)
+		}
+		if lo := ChunkSizeFor(c.n); got < lo {
+			t.Fatalf("n=%d units=%d: span size %d below fixed floor %d", c.n, c.units, got, lo)
+		}
+	}
+	// Density monotonicity: more units per row ⇒ chunks no larger.
+	const n = 200_000
+	prev := ChunkSizeForSpan(n, n)
+	for _, width := range []int{2, 4, 8, 16, 64} {
+		cur := ChunkSizeForSpan(n, n*width)
+		if cur > prev {
+			t.Fatalf("width %d: chunk %d grew past %d", width, cur, prev)
+		}
+		prev = cur
+	}
+	// Degenerate shapes fall back to the fixed layout.
+	if got := ChunkSizeForSpan(500, 0); got != ChunkSizeFor(500) {
+		t.Fatalf("units=0: %d, want fixed %d", got, ChunkSizeFor(500))
+	}
+}

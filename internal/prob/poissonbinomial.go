@@ -104,8 +104,9 @@ func PBTailGE(ps []float64, k int) float64 {
 //
 // Implemented with a rolling row of length minCount+1; O(N·minCount) time,
 // exactly the complexity the paper reports as O(N²·min_sup). It returns the
-// same value as PBTailGE but exercises the distinct DP code path of the DP
-// miner family.
+// same value as PBTailGE. This is the reference recurrence: the DP miners
+// run kernel.FreqTailDP, which the kernel package's tests pin bit for bit
+// to this function, and tests and benchmarks compare against it.
 func PBFreqProbDP(ps []float64, minCount int) float64 {
 	if minCount <= 0 {
 		return 1
