@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet lint test race test-cancel test-partition test-shardrpc test-incmine test-parallel bench bench-storage bench-kernels smoke-server smoke-shards smoke-metrics smoke-subscribe smoke-explain bench-server bench-gate ci
+.PHONY: all build fmt vet lint test race test-cancel test-partition test-shardrpc test-incmine test-parallel bench bench-storage bench-kernels smoke-server smoke-shards smoke-metrics smoke-subscribe smoke-explain bench-server bench-gate perfbench-check ci
 
 all: build
 
@@ -167,5 +167,15 @@ bench-gate:
 		BENCH_partition.json=BENCH_partition.fresh.json BENCH_server.json=BENCH_server.fresh.json \
 		BENCH_incremental.json=BENCH_incremental.fresh.json
 
+## perfbench-check: perfbench is its own module (`replace umine => ../`), so
+## the root build never compiles it and a root change that drops a symbol it
+## uses would pass every other job. Vet and test it against the current
+## tree, then require a 2-second serve-mixed run to pass its oracle.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+	@out=$$(bash perfbench/run.sh --workload serve-mixed --seed 1 --seconds 2 --trace 0) || { echo "$$out"; exit 1; }; \
+	echo "$$out"; \
+	echo "$$out" | tail -n 1 | grep -q '"correct":true' || { echo "perfbench-check: run did not report \"correct\":true"; exit 1; }
+
 ## ci: everything the pipeline runs
-ci: build fmt vet lint race test-cancel test-partition test-shardrpc test-incmine test-parallel bench bench-storage bench-kernels smoke-server smoke-shards smoke-metrics smoke-subscribe smoke-explain bench-server bench-gate
+ci: build fmt vet lint race test-cancel test-partition test-shardrpc test-incmine test-parallel bench bench-storage bench-kernels smoke-server smoke-shards smoke-metrics smoke-subscribe smoke-explain bench-server bench-gate perfbench-check

@@ -22,7 +22,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"syscall"
 
 	"umine"
@@ -69,9 +68,9 @@ func main() {
 	}
 
 	// SIGINT/SIGTERM cancel the in-flight mine at its next cooperative
-	// checkpoint instead of killing the process mid-write; the Progress
-	// hook keeps the latest counter snapshot so a canceled run still
-	// reports how far it got.
+	// checkpoint instead of killing the process mid-write; the progress
+	// collector keeps the counters so a canceled run still reports how far
+	// it got.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	// Profiling brackets just the mine (not input parsing/generation), and
@@ -80,33 +79,21 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	snap := &progressSnapshot{}
-	observers := []umine.ProgressFunc{snap.observe}
-	var col *obsq.Collector
-	if *explain {
-		col = obsq.NewCollector()
-		observers = append(observers, col.Progress())
-	}
+	// One collector feeds -trace, -explain and the cancel report.
 	var tr *telemetry.Trace
+	var spanParent *telemetry.Span
 	if *trace {
 		tr = telemetry.NewTrace("umine " + *algoName)
 		ctx = telemetry.ContextWithSpan(ctx, tr.Root())
 		if *parts <= 1 || !umine.SupportsPartitions(*algoName) {
-			// Single-shot mines have no explicit spans; adapt the Progress
-			// checkpoint stream into spans. Partitioned mines instrument
+			// Single-shot mines have no explicit spans; the collector turns
+			// their checkpoints into spans. Partitioned mines instrument
 			// themselves from the context span (phase1/shards/merge/phase2).
-			observers = append(observers, telemetry.SpanProgress(tr.Root()))
+			spanParent = tr.Root()
 		}
 	}
-	opts := umine.Options{Workers: *workers, Partitions: *parts, Progress: snap.observe}
-	if len(observers) > 1 {
-		obs := observers
-		opts.Progress = func(ev umine.ProgressEvent) {
-			for _, f := range obs {
-				f(ev)
-			}
-		}
-	}
+	col := obsq.NewCollector(spanParent)
+	opts := umine.Options{Workers: *workers, Partitions: *parts, Progress: col.Progress()}
 	meas, err := umine.MeasureContext(ctx, *algoName, db, th, opts)
 	stopProf()
 	if tr != nil {
@@ -121,7 +108,7 @@ func main() {
 	}
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			fatalCanceled("umine", *algoName, err, snap)
+			fatalCanceled("umine", *algoName, err, col)
 		}
 		fatal(err)
 	}
@@ -172,35 +159,14 @@ func printExplain(db *umine.Database, meas *umine.Measurement, col *obsq.Collect
 	os.Stdout.Write(append(buf, '\n'))
 }
 
-// progressSnapshot retains the most recent ProgressEvent; safe for
-// concurrent use (parallel miners emit from worker goroutines).
-type progressSnapshot struct {
-	mu   sync.Mutex
-	ev   umine.ProgressEvent
-	seen bool
-}
-
-func (p *progressSnapshot) observe(ev umine.ProgressEvent) {
-	p.mu.Lock()
-	p.ev, p.seen = ev, true
-	p.mu.Unlock()
-}
-
-// last returns the latest snapshot and whether any event arrived.
-func (p *progressSnapshot) last() (umine.ProgressEvent, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.ev, p.seen
-}
-
 // fatalCanceled reports a canceled mine with the partial MiningStats the
-// Progress hook captured, then exits nonzero.
-func fatalCanceled(tool, algorithm string, err error, snap *progressSnapshot) {
+// progress collector summed, then exits nonzero.
+func fatalCanceled(tool, algorithm string, err error, col *obsq.Collector) {
 	fmt.Fprintf(os.Stderr, "%s: %s mine aborted: %v\n", tool, algorithm, err)
-	if ev, ok := snap.last(); ok {
-		s := ev.Stats
+	if steps, s, _, _ := col.Snapshot(); len(steps) > 0 {
+		last := steps[len(steps)-1]
 		fmt.Fprintf(os.Stderr, "%s: partial stats (last checkpoint: %s, level %d): candidates=%d pruned=%d chernoff=%d exactEvals=%d dbScans=%d\n",
-			tool, ev.Phase, ev.Level, s.CandidatesGenerated, s.CandidatesPruned, s.ChernoffPruned, s.ExactEvaluations, s.DBScans)
+			tool, last.Phase, last.Level, s.CandidatesGenerated, s.CandidatesPruned, s.ChernoffPruned, s.ExactEvaluations, s.DBScans)
 	} else {
 		fmt.Fprintf(os.Stderr, "%s: canceled before the first checkpoint; no partial stats\n", tool)
 	}

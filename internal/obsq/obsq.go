@@ -9,9 +9,11 @@
 //
 // Four pieces:
 //
-//   - Collector (this file): a core.ProgressFunc that records per-checkpoint
-//     cost deltas from the miners' existing event stream — no miner changes,
-//     zero cost when no explain is requested (the nil-ProgressFunc path).
+//   - Collector (this file): the one observer of a mine's progress stream.
+//     It turns each checkpoint into a costed plan step and, under an
+//     optional parent span, a trace span covering the same interval — no
+//     miner changes, and zero cost when nothing observes the mine (the
+//     nil-ProgressFunc path).
 //
 //   - Explanation (explain.go): the structured /explain (and umine -explain)
 //     document: the executed plan as a sequence of costed steps, the run
@@ -33,10 +35,13 @@
 package obsq
 
 import (
+	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
 	"umine/internal/core"
+	"umine/internal/telemetry"
 )
 
 // Step is one costed plan step of an executed query: a level boundary, a
@@ -75,14 +80,17 @@ type ShardEvent struct {
 	At    time.Time `json:"at"`
 }
 
-// Collector accumulates a query's cost breakdown from its progress stream.
-// It implements the core.ProgressFunc contract (fast, concurrent-safe, no
-// event retention beyond copying), so it chains with telemetry.SpanProgress
-// via core.ChainProgress. The zero Collector is not usable; construct with
+// Collector is the one consumer of a mine's progress stream: each level,
+// subtree or partition checkpoint becomes a costed Step and, under an
+// optional parent span, a completed child span covering the same interval,
+// so /explain steps and trace spans never disagree on timing. It implements
+// the core.ProgressFunc contract (fast, concurrent-safe, no event retention
+// beyond copying). The zero Collector is not usable; construct with
 // NewCollector.
 type Collector struct {
+	parent *telemetry.Span
+
 	mu     sync.Mutex
-	start  time.Time
 	lastT  time.Time
 	last   core.MiningStats
 	steps  []Step
@@ -92,17 +100,17 @@ type Collector struct {
 	hasEx  bool
 	done   bool
 	level  int
-	algo   string
 }
 
 // NewCollector starts a collector; the construction time anchors the first
-// step's interval.
-func NewCollector() *Collector {
-	now := time.Now()
-	return &Collector{start: now, lastT: now}
+// step's interval. Checkpoint spans are recorded under parent, which may be
+// nil (steps only).
+func NewCollector(parent *telemetry.Span) *Collector {
+	return &Collector{parent: parent, lastT: time.Now()}
 }
 
-// Progress returns the collector's observer function (nil-safe to chain).
+// Progress returns the collector's observer function (nil for a nil
+// collector, which disables observation at zero cost).
 func (c *Collector) Progress() core.ProgressFunc {
 	if c == nil {
 		return nil
@@ -114,11 +122,11 @@ func (c *Collector) observe(ev core.ProgressEvent) {
 	now := time.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.algo == "" {
-		c.algo = ev.Algorithm
-	}
+	var step Step
 	switch ev.Phase {
 	case core.PhaseShardRetry, core.PhaseShardHedge, core.PhaseShardFailover, core.PhaseShardRepush:
+		// Administrative events, not execution checkpoints: the shardrpc
+		// backend records their spans itself, with better attribution.
 		c.events = append(c.events, ShardEvent{Kind: string(ev.Phase), Shard: ev.Level, At: now})
 		return
 	case core.PhaseExec:
@@ -129,6 +137,7 @@ func (c *Collector) observe(ev core.ProgressEvent) {
 		c.hasEx = true
 		return
 	case core.PhaseDone:
+		// The done event's interval is the enclosing mine span itself.
 		c.total = ev.Stats
 		c.done = true
 		c.level = ev.Level
@@ -140,24 +149,41 @@ func (c *Collector) observe(ev core.ProgressEvent) {
 		// the summed phase-1 stats, so without this the first level step
 		// would re-attribute all of phase 1 to itself.
 		c.last.Add(ev.Stats)
-		step := stepFromDelta(string(ev.Phase), ev.Level, ev.Stats)
-		step.ElapsedMS = float64(now.Sub(c.lastT).Nanoseconds()) / 1e6
-		c.lastT = now
-		c.steps = append(c.steps, step)
-		return
+		step = stepFromDelta(string(ev.Phase), ev.Level, ev.Stats)
+	default:
+		// Level/subtree events carry cumulative snapshots; attribute the
+		// delta since the previous snapshot to this step. Subtree snapshots
+		// from parallel workers are not globally ordered, so deltas clamp at
+		// zero and the baseline advances field-wise — observability must
+		// never go negative.
+		delta := subClamp(ev.Stats, c.last)
+		c.last = maxStats(c.last, ev.Stats)
+		step = stepFromDelta(string(ev.Phase), ev.Level, delta)
+		step.PeakTrackedBytes = ev.Stats.PeakTrackedBytes
 	}
-	// Level/subtree events carry cumulative snapshots; attribute the delta
-	// since the previous snapshot to this step. Subtree snapshots from
-	// parallel workers are not globally ordered, so deltas clamp at zero and
-	// the baseline advances field-wise — observability must never go
-	// negative.
-	delta := subClamp(ev.Stats, c.last)
-	c.last = maxStats(c.last, ev.Stats)
-	step := stepFromDelta(string(ev.Phase), ev.Level, delta)
-	step.PeakTrackedBytes = ev.Stats.PeakTrackedBytes
-	step.ElapsedMS = float64(now.Sub(c.lastT).Nanoseconds()) / 1e6
+	// One interval per checkpoint, shared by the step and its span;
+	// concurrent checkpoints are attributed back-to-back in lock order.
+	start := c.lastT
 	c.lastT = now
+	step.ElapsedMS = float64(now.Sub(start).Nanoseconds()) / 1e6
 	c.steps = append(c.steps, step)
+	c.parent.Record(checkpointName(ev), start, now,
+		[2]string{"algorithm", ev.Algorithm},
+		[2]string{"candidates", strconv.Itoa(ev.Stats.CandidatesGenerated)},
+	)
+}
+
+// checkpointName labels a checkpoint span after its phase and ordinal.
+func checkpointName(ev core.ProgressEvent) string {
+	switch ev.Phase {
+	case core.PhaseLevel:
+		return fmt.Sprintf("level %d", ev.Level)
+	case core.PhaseSubtree:
+		return fmt.Sprintf("subtree (depth %d)", ev.Level)
+	case core.PhasePartition:
+		return fmt.Sprintf("partition %d", ev.Level)
+	}
+	return string(ev.Phase)
 }
 
 // stepFromDelta renders one step from per-step counters.
@@ -268,7 +294,8 @@ func (c *Collector) Snapshot() (steps []Step, totals core.MiningStats, events []
 }
 
 // Exec returns the summed execution-layer counters and whether any PhaseExec
-// event was observed (miners without tunable execution emit none).
+// event was observed (miners with no fan-out or kernel dispatch to report
+// emit none).
 func (c *Collector) Exec() (core.ExecStats, bool) {
 	if c == nil {
 		return core.ExecStats{}, false

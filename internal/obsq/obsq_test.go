@@ -13,7 +13,7 @@ import (
 // TestCollectorLevelDeltas: cumulative level snapshots become per-step
 // deltas; the done event supplies the exact totals and the deepest level.
 func TestCollectorLevelDeltas(t *testing.T) {
-	col := NewCollector()
+	col := NewCollector(nil)
 	fn := col.Progress()
 	fn(core.ProgressEvent{Algorithm: "UApriori", Phase: core.PhaseLevel, Level: 1, Stats: core.MiningStats{
 		CandidatesGenerated: 10, DBScans: 1, TransactionsScanned: 100, HorizontalPlans: 1,
@@ -53,7 +53,7 @@ func TestCollectorLevelDeltas(t *testing.T) {
 // summed phase-1 stats into every phase-2 snapshot. Without the baseline
 // advance, the first phase-2 level would re-attribute all of phase 1.
 func TestCollectorPartitionOffset(t *testing.T) {
-	col := NewCollector()
+	col := NewCollector(nil)
 	fn := col.Progress()
 	for i := 1; i <= 2; i++ {
 		fn(core.ProgressEvent{Phase: core.PhasePartition, Level: i, Stats: core.MiningStats{
@@ -82,7 +82,7 @@ func TestCollectorPartitionOffset(t *testing.T) {
 // TestCollectorSubtreeClamp: out-of-order subtree snapshots from parallel
 // workers never produce negative deltas.
 func TestCollectorSubtreeClamp(t *testing.T) {
-	col := NewCollector()
+	col := NewCollector(nil)
 	fn := col.Progress()
 	fn(core.ProgressEvent{Phase: core.PhaseSubtree, Level: 1, Stats: core.MiningStats{CandidatesGenerated: 20}})
 	fn(core.ProgressEvent{Phase: core.PhaseSubtree, Level: 2, Stats: core.MiningStats{CandidatesGenerated: 15}})
@@ -95,7 +95,7 @@ func TestCollectorSubtreeClamp(t *testing.T) {
 // TestCollectorShardEvents: shard-robustness phases land in the event
 // timeline, not the plan steps.
 func TestCollectorShardEvents(t *testing.T) {
-	col := NewCollector()
+	col := NewCollector(nil)
 	fn := col.Progress()
 	fn(core.ProgressEvent{Phase: core.PhaseShardRetry, Level: 1})
 	fn(core.ProgressEvent{Phase: core.PhaseShardHedge, Level: 0})
@@ -112,7 +112,7 @@ func TestCollectorShardEvents(t *testing.T) {
 // (partitioned queries run several mines, each reporting once) without
 // producing plan steps.
 func TestCollectorExecFold(t *testing.T) {
-	col := NewCollector()
+	col := NewCollector(nil)
 	fn := col.Progress()
 	if _, ok := col.Exec(); ok {
 		t.Error("fresh collector reports exec counters")
@@ -137,7 +137,7 @@ func TestCollectorExecFold(t *testing.T) {
 	}
 }
 
-// TestNilCollector: a nil collector chains away to nothing.
+// TestNilCollector: a nil collector observes nothing.
 func TestNilCollector(t *testing.T) {
 	var col *Collector
 	if col.Progress() != nil {
@@ -151,6 +151,116 @@ func TestNilCollector(t *testing.T) {
 	}
 	if _, ok := col.Exec(); ok {
 		t.Error("nil collector Exec reported counters")
+	}
+}
+
+// TestCollectorSpans: checkpoint events become completed child spans of the
+// parent; shard-robustness phases and the final done event are skipped (the
+// shardrpc backend owns those spans, and the done interval is the parent).
+func TestCollectorSpans(t *testing.T) {
+	tr := telemetry.NewTrace("mine")
+	fn := NewCollector(tr.Root()).Progress()
+	fn(core.ProgressEvent{Algorithm: "UApriori", Phase: core.PhaseLevel, Level: 1})
+	fn(core.ProgressEvent{Algorithm: "UApriori", Phase: core.PhaseLevel, Level: 2,
+		Stats: core.MiningStats{CandidatesGenerated: 42}})
+	fn(core.ProgressEvent{Phase: core.PhaseShardRetry})
+	fn(core.ProgressEvent{Phase: core.PhaseDone})
+
+	td := tr.Finish()
+	if got := len(td.Root.Children); got != 2 {
+		t.Fatalf("got %d checkpoint spans, want 2 (robustness + done skipped): %+v", got, td.Root.Children)
+	}
+	l2, ok := td.Root.Find("level 2")
+	if !ok || l2.Attrs["candidates"] != "42" || l2.Attrs["algorithm"] != "UApriori" {
+		t.Errorf("level-2 checkpoint span: %+v", l2)
+	}
+}
+
+// TestCollectorSpansConcurrent: parallel miners emit checkpoints from worker
+// goroutines; the collector must be race-free and lose no step or span.
+func TestCollectorSpansConcurrent(t *testing.T) {
+	tr := telemetry.NewTrace("mine")
+	col := NewCollector(tr.Root())
+	fn := col.Progress()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				fn(core.ProgressEvent{Phase: core.PhaseSubtree, Level: i})
+			}
+		}()
+	}
+	wg.Wait()
+	if got := len(tr.Finish().Root.Children); got != 400 {
+		t.Errorf("got %d spans, want 400", got)
+	}
+	if steps, _, _, _ := col.Snapshot(); len(steps) != 400 {
+		t.Errorf("got %d steps, want 400", len(steps))
+	}
+}
+
+// TestCollectorNilParent: without a parent span the collector still records
+// every step (the sharded /explain path).
+func TestCollectorNilParent(t *testing.T) {
+	col := NewCollector(nil)
+	fn := col.Progress()
+	if fn == nil {
+		t.Fatal("nil-parent collector returned a nil ProgressFunc")
+	}
+	fn(core.ProgressEvent{Phase: core.PhasePartition, Level: 1, Stats: core.MiningStats{CandidatesGenerated: 3}})
+	fn(core.ProgressEvent{Phase: core.PhaseLevel, Level: 1, Stats: core.MiningStats{CandidatesGenerated: 5}})
+	steps, _, _, _ := col.Snapshot()
+	if len(steps) != 2 || steps[0].Phase != "partition" || steps[1].Phase != "level" {
+		t.Errorf("steps: %+v", steps)
+	}
+}
+
+// TestCollectorStepSpanTiming: a step and its span share one interval, so
+// /explain and the trace report the same duration for every checkpoint.
+func TestCollectorStepSpanTiming(t *testing.T) {
+	tr := telemetry.NewTrace("mine")
+	col := NewCollector(tr.Root())
+	fn := col.Progress()
+	for i := 1; i <= 3; i++ {
+		time.Sleep(time.Duration(i) * time.Millisecond)
+		fn(core.ProgressEvent{Phase: core.PhaseLevel, Level: i})
+	}
+	steps, _, _, _ := col.Snapshot()
+	spans := tr.Finish().Root.Children
+	if len(steps) != 3 || len(spans) != 3 {
+		t.Fatalf("got %d steps and %d spans, want 3 each", len(steps), len(spans))
+	}
+	for i := range steps {
+		if steps[i].ElapsedMS != spans[i].DurationMS {
+			t.Errorf("checkpoint %d: step %.6f ms, span %s %.6f ms", i+1, steps[i].ElapsedMS, spans[i].Name, spans[i].DurationMS)
+		}
+	}
+}
+
+// TestCollectorUnfinishedTotals: a run canceled mid-phase-1 has no done
+// event; its totals are the sum of the completed partitions' counters (what
+// umine reports on cancel), not the last partition's alone.
+func TestCollectorUnfinishedTotals(t *testing.T) {
+	col := NewCollector(nil)
+	fn := col.Progress()
+	parts := []core.MiningStats{
+		{CandidatesGenerated: 5, CandidatesPruned: 1, ExactEvaluations: 2, DBScans: 1},
+		{CandidatesGenerated: 7, ChernoffPruned: 3, ExactEvaluations: 4, DBScans: 2},
+		{CandidatesGenerated: 2, CandidatesPruned: 6, DBScans: 1},
+	}
+	var want core.MiningStats
+	for i, st := range parts {
+		fn(core.ProgressEvent{Phase: core.PhasePartition, Level: i + 1, Stats: st})
+		want.Add(st)
+	}
+	_, totals, _, done := col.Snapshot()
+	if done {
+		t.Fatal("unfinished run reported done")
+	}
+	if totals != want {
+		t.Errorf("totals = %+v, want the partition sum %+v", totals, want)
 	}
 }
 

@@ -12,20 +12,18 @@ import (
 )
 
 // The server side of query-level observability (umine/internal/obsq):
-// Explain runs one query with a cost collector chained onto its progress
-// stream and renders the executed plan; the ingest pre-warm replays the
+// Explain runs one query with a cost collector on its progress stream and
+// renders the executed plan; the ingest pre-warm replays the
 // workload profile's hottest queries after an invalidation; the dashboard
 // assembles every live surface into one page.
 
 // Explain answers req exactly as Mine would — same cache, coalescing,
 // backend selection, and bit-identical results — while collecting the
-// executed plan and its cost breakdown. The extra cost is one progress
-// observer and one span walk; the mined bits cannot differ from a plain
-// Mine.
+// executed plan and its cost breakdown. The extra cost is the collector's
+// step bookkeeping and one span walk; the mined bits cannot differ from a
+// plain Mine.
 func (s *Server) Explain(ctx context.Context, req MineRequest) (*obsq.Explanation, error) {
-	col := obsq.NewCollector()
 	exec := &execRecord{}
-	req.progress = col.Progress()
 	req.exec = exec
 
 	span := telemetry.SpanFromContext(ctx)
@@ -52,6 +50,7 @@ func (s *Server) Explain(ctx context.Context, req MineRequest) (*obsq.Explanatio
 		return nil, err
 	}
 
+	col := exec.col
 	steps, totals, events, _ := col.Snapshot()
 	ex := &obsq.Explanation{
 		Dataset:   req.Dataset,

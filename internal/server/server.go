@@ -75,12 +75,6 @@ type Config struct {
 	// histograms are registered on the hub's Registry. Nil disables all of
 	// it at zero per-request cost.
 	Telemetry *telemetry.Hub
-	// MineSLOTarget / IngestSLOTarget are the per-route latency objectives
-	// behind the umine_slo_burn_rate gauges and the dashboard's SLO table
-	// (0 selects the defaults below). 99% of requests are expected under
-	// the target; errors burn budget regardless of latency.
-	MineSLOTarget   time.Duration
-	IngestSLOTarget time.Duration
 	// PrewarmHot > 0 re-mines up to this many of a dataset's hottest
 	// workload groups after an ingest invalidates its cache, so the next
 	// queries of the observed mix hit a warm cache instead of paying a cold
@@ -88,7 +82,9 @@ type Config struct {
 	PrewarmHot int
 }
 
-// Default per-route SLO latency targets.
+// Per-route SLO latency targets behind the umine_slo_burn_rate gauges and
+// the dashboard's SLO table. 99% of requests are expected under the target;
+// errors burn budget regardless of latency.
 const (
 	defaultMineSLOTarget   = 500 * time.Millisecond
 	defaultIngestSLOTarget = 250 * time.Millisecond
@@ -181,16 +177,8 @@ type partitionCounters struct {
 func New(cfg Config) *Server {
 	s := &Server{cfg: cfg, start: time.Now(), ledgers: map[string]*ledgerEntry{}}
 	s.workload = obsq.NewWorkload(0)
-	mineTarget := cfg.MineSLOTarget
-	if mineTarget == 0 {
-		mineTarget = defaultMineSLOTarget
-	}
-	ingestTarget := cfg.IngestSLOTarget
-	if ingestTarget == 0 {
-		ingestTarget = defaultIngestSLOTarget
-	}
-	s.sloMine = obsq.NewSLO(mineTarget, 0)
-	s.sloIngest = obsq.NewSLO(ingestTarget, 0)
+	s.sloMine = obsq.NewSLO(defaultMineSLOTarget, 0)
+	s.sloIngest = obsq.NewSLO(defaultIngestSLOTarget, 0)
 	s.prewarms = map[string]*prewarmState{}
 	s.reg.init()
 	if cfg.CacheEntries >= 0 {
@@ -367,13 +355,9 @@ type MineRequest struct {
 	// Used by the load benchmark's cold passes.
 	NoCache bool
 
-	// progress, when set, is chained onto the mining run's observer —
-	// Explain threads its cost collector through here without perturbing
-	// the run (events are copies; the nil path costs nothing).
-	progress core.ProgressFunc
-	// exec, when set, receives the execution decisions Explain reports
-	// (which backend ran, how wide the scatter was, a cache entry's
-	// provenance).
+	// exec, when set, marks an Explain request and receives the execution
+	// decisions it reports (which backend ran, how wide the scatter was, a
+	// cache entry's provenance, the mine's progress collector).
 	exec *execRecord
 	// internal marks server-originated requests (cache pre-warm): they mine
 	// and fill the cache normally but stay out of the workload profile and
@@ -385,7 +369,8 @@ type MineRequest struct {
 type execRecord struct {
 	backend string // local | sharded | shardrpc ("" when nothing executed)
 	shards  int
-	source  string // cache-entry provenance when served without mining
+	source  string          // cache-entry provenance when served without mining
+	col     *obsq.Collector // the mine's plan steps (nil when nothing executed)
 }
 
 // MineResponse is the outcome of one Mine call.
@@ -627,19 +612,26 @@ func (s *Server) runMine(ctx context.Context, req MineRequest, d *dsEntry, db *c
 	}
 	if shards > 1 && algo.SupportsPartitions(req.Algorithm) {
 		span.SetAttr("shards", fmt.Sprint(shards))
-		// The partition engine's PhasePartition/PhaseDone events feed the
-		// request's cost collector (when Explain attached one).
-		opts.Progress = req.progress
+		// The partition engine's PhasePartition/PhaseDone events feed a
+		// collector only when Explain asked, and it records no spans: the
+		// engine's explicit phase spans already cover its structure.
+		if req.exec != nil {
+			req.exec.col = obsq.NewCollector(nil)
+			opts.Progress = req.exec.col.Progress()
+		}
 		return s.mineSharded(ctx, req.Algorithm, d, db, version, shards, req.Thresholds, opts, req.exec)
 	}
-	// Plain (unsharded) path: the miner's own Progress checkpoints become
-	// child spans, chained with the request's cost collector. The sharded
-	// path skips the span observer — the partition engine's explicit phase
-	// spans already cover its structure.
-	if req.exec != nil {
-		req.exec.backend = "local"
+	// Plain (unsharded) path: one collector turns the miner's own Progress
+	// checkpoints into child spans of the mine span and, for Explain, into
+	// plan steps.
+	if span != nil || req.exec != nil {
+		col := obsq.NewCollector(span)
+		opts.Progress = col.Progress()
+		if req.exec != nil {
+			req.exec.backend = "local"
+			req.exec.col = col
+		}
 	}
-	opts.Progress = core.ChainProgress(telemetry.SpanProgress(span), req.progress)
 	return s.mineFn(ctx, req.Algorithm, db, req.Thresholds, opts)
 }
 

@@ -15,6 +15,7 @@ import (
 
 	"umine/internal/algo"
 	"umine/internal/core"
+	"umine/internal/obsq"
 	"umine/internal/partition"
 	"umine/internal/telemetry"
 )
@@ -349,7 +350,7 @@ func (s *ShardServer) handleMine1(w http.ResponseWriter, r *http.Request) {
 		// The miner's own checkpoints (levels, subtrees) become child
 		// spans, so the coordinator's stitched tree shows where the shard's
 		// time went, not just that it went.
-		Progress: telemetry.SpanProgress(mineSpan),
+		Progress: obsq.NewCollector(mineSpan).Progress(),
 	})
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"encoding/json"
+	"log/slog"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -75,14 +76,14 @@ func TestFinishIdempotent(t *testing.T) {
 	}
 }
 
-// TestSlowLog: traces meeting the threshold emit one JSON line; fast ones
-// do not.
+// TestSlowLog: traces meeting the threshold emit exactly one slog record
+// carrying the trace ID, duration and span tree; fast ones emit none.
 func TestSlowLog(t *testing.T) {
 	var buf strings.Builder
 	h := NewHub(HubConfig{
 		TraceCapacity:    2,
 		SlowLogThreshold: 5 * time.Millisecond,
-		SlowLog:          &buf,
+		SlowLogger:       NewLogger(&buf, "userve", slog.LevelInfo),
 	})
 
 	fast := h.StartTrace("fast")
@@ -100,23 +101,23 @@ func TestSlowLog(t *testing.T) {
 	if line == "" {
 		t.Fatal("slow trace not logged")
 	}
+	if strings.Count(line, "\n") != 1 || !strings.HasSuffix(line, "\n") {
+		t.Fatalf("slow log must be one record per trace: %q", line)
+	}
 	var doc struct {
-		Slow       string   `json:"slow"`
+		Name       string   `json:"name"`
 		TraceID    string   `json:"trace_id"`
 		DurationMS float64  `json:"duration_ms"`
 		Root       SpanData `json:"root"`
 	}
 	if err := json.Unmarshal([]byte(line), &doc); err != nil {
-		t.Fatalf("slow-log line is not JSON: %v\n%s", err, line)
+		t.Fatalf("slow-log record is not JSON: %v\n%s", err, line)
 	}
-	if doc.Slow != "slow mine" || doc.TraceID != slow.ID() || doc.DurationMS < 5 {
-		t.Errorf("slow-log line fields: %+v", doc)
+	if doc.Name != "slow mine" || doc.TraceID != slow.ID() || doc.DurationMS < 5 {
+		t.Errorf("slow-log record fields: %+v", doc)
 	}
 	if _, ok := doc.Root.Find("phase1"); !ok {
-		t.Error("slow-log line lost the span breakdown")
-	}
-	if strings.Count(line, "\n") != 1 || !strings.HasSuffix(line, "\n") {
-		t.Errorf("slow log must be one line per trace: %q", line)
+		t.Error("slow-log record lost the span breakdown")
 	}
 }
 

@@ -23,11 +23,12 @@
 //
 //   - Span/Progress relationship: miners do not know about spans — they
 //     emit core.ProgressEvents at their cooperative checkpoints, exactly
-//     as before. SpanProgress (progress.go) adapts that stream into child
-//     spans (one per checkpoint, covering the interval since the previous
-//     one), so every existing miner's level/subtree/partition structure
-//     shows up in traces without touching miner code. Explicit spans and
-//     Progress-fed spans coexist in one tree.
+//     as before. obsq.Collector consumes that stream and records one
+//     completed child span per checkpoint (Span.Record, covering the
+//     interval since the previous one), so every existing miner's
+//     level/subtree/partition structure shows up in traces without
+//     touching miner code. Explicit spans and Progress-fed spans coexist
+//     in one tree.
 //
 //   - Metrics (metrics.go): a Registry of counters, gauges and fixed-bucket
 //     histograms with atomic hot paths, rendered in the Prometheus text
@@ -37,15 +38,14 @@
 //
 //   - Retention (hub.go): a Hub bundles a Registry with a bounded ring of
 //     the last N completed traces (served at /debug/traces) and an
-//     optional slow-request log — one structured JSON line, span breakdown
-//     included, for any trace exceeding a threshold.
+//     optional slow-request log — one structured slog record, span
+//     breakdown included, for any trace exceeding a threshold.
 package telemetry
 
 import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -349,19 +349,6 @@ type TraceData struct {
 	Start      time.Time `json:"start"`
 	DurationMS float64   `json:"duration_ms"`
 	Root       SpanData  `json:"root"`
-}
-
-// MarshalSlowLine renders the trace as the one-line slow-log JSON document.
-func (td TraceData) MarshalSlowLine() []byte {
-	line, err := json.Marshal(struct {
-		Slow string `json:"slow"`
-		TraceData
-	}{Slow: td.Name, TraceData: td})
-	if err != nil {
-		// A TraceData is plain data; Marshal cannot fail in practice.
-		return []byte(fmt.Sprintf(`{"slow":%q,"trace_id":%q,"marshal_error":%q}`, td.Name, td.TraceID, err))
-	}
-	return line
 }
 
 func durationMS(d time.Duration) float64 {

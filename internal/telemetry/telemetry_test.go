@@ -3,11 +3,8 @@ package telemetry
 import (
 	"context"
 	"strings"
-	"sync"
 	"testing"
 	"time"
-
-	"umine/internal/core"
 )
 
 // TestSpanTree covers the span lifecycle: children, completed records,
@@ -103,53 +100,6 @@ func TestContextPropagation(t *testing.T) {
 	sp.End()
 	if _, ok := tr.Finish().Root.Find("phase1"); !ok {
 		t.Error("context-started span missing from the trace")
-	}
-}
-
-// TestSpanProgress: checkpoint events become completed child spans;
-// shard-robustness phases and the final done event are skipped (the
-// shardrpc backend owns those spans).
-func TestSpanProgress(t *testing.T) {
-	tr := NewTrace("mine")
-	fn := SpanProgress(tr.Root())
-	fn(core.ProgressEvent{Algorithm: "UApriori", Phase: core.PhaseLevel, Level: 1})
-	fn(core.ProgressEvent{Algorithm: "UApriori", Phase: core.PhaseLevel, Level: 2,
-		Stats: core.MiningStats{CandidatesGenerated: 42}})
-	fn(core.ProgressEvent{Phase: core.PhaseShardRetry})
-	fn(core.ProgressEvent{Phase: core.PhaseDone})
-
-	td := tr.Finish()
-	if got := len(td.Root.Children); got != 2 {
-		t.Fatalf("got %d checkpoint spans, want 2 (robustness + done skipped): %+v", got, td.Root.Children)
-	}
-	l2, ok := td.Root.Find("level 2")
-	if !ok || l2.Attrs["candidates"] != "42" || l2.Attrs["algorithm"] != "UApriori" {
-		t.Errorf("level-2 checkpoint span: %+v", l2)
-	}
-
-	if SpanProgress(nil) != nil {
-		t.Error("SpanProgress(nil) must return a nil observer")
-	}
-}
-
-// TestSpanProgressConcurrent: parallel miners emit checkpoints from worker
-// goroutines; the adapter must be race-free.
-func TestSpanProgressConcurrent(t *testing.T) {
-	tr := NewTrace("mine")
-	fn := SpanProgress(tr.Root())
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				fn(core.ProgressEvent{Phase: core.PhaseSubtree, Level: i})
-			}
-		}()
-	}
-	wg.Wait()
-	if got := len(tr.Finish().Root.Children); got != 400 {
-		t.Errorf("got %d spans, want 400", got)
 	}
 }
 
