@@ -123,7 +123,7 @@ func main() {
 // Explanation document the server's /explain endpoint serves.
 func printExplain(db *umine.Database, meas *umine.Measurement, col *obsq.Collector, tr *telemetry.Trace, th umine.Thresholds, workers, parts int) {
 	rs := meas.Results
-	steps, totals, events, _ := col.Snapshot()
+	steps, totals, _ := col.Snapshot()
 	ex := obsq.Explanation{
 		Dataset:   db.Stats().Name,
 		Algorithm: rs.Algorithm,
@@ -140,7 +140,6 @@ func printExplain(db *umine.Database, meas *umine.Measurement, col *obsq.Collect
 		Totals:    obsq.CostFromStats(totals),
 		Steps:     steps,
 	}
-	ex.ShardEvents = events
 	if sched, ok := col.Exec(); ok {
 		ex.Sched = &sched
 	}
@@ -163,7 +162,7 @@ func printExplain(db *umine.Database, meas *umine.Measurement, col *obsq.Collect
 // progress collector summed, then exits nonzero.
 func fatalCanceled(tool, algorithm string, err error, col *obsq.Collector) {
 	fmt.Fprintf(os.Stderr, "%s: %s mine aborted: %v\n", tool, algorithm, err)
-	if steps, s, _, _ := col.Snapshot(); len(steps) > 0 {
+	if steps, s, _ := col.Snapshot(); len(steps) > 0 {
 		last := steps[len(steps)-1]
 		fmt.Fprintf(os.Stderr, "%s: partial stats (last checkpoint: %s, level %d): candidates=%d pruned=%d chernoff=%d exactEvals=%d dbScans=%d\n",
 			tool, last.Phase, last.Level, s.CandidatesGenerated, s.CandidatesPruned, s.ChernoffPruned, s.ExactEvaluations, s.DBScans)

@@ -6,6 +6,10 @@ package core
 // paper's platform reports counters only after a run completes; the serving
 // deployment needs them *during* the run — a request that will blow its
 // deadline is cheaper to abort at level 3 than to discover dead at the end.
+//
+// Phases mark mining work only. Shard-transport events (retries, hedges,
+// failovers, re-pushes) are not progress: umine/internal/shardrpc counts
+// them on its Pool and records each one as a trace span.
 
 // ProgressPhase labels where in its run a miner emitted an event.
 type ProgressPhase string
@@ -22,24 +26,6 @@ const (
 	// umine/internal/partition). Level carries the 1-based partition
 	// ordinal and Stats the completed partition's own work counters.
 	PhasePartition ProgressPhase = "partition"
-	// PhaseShardRetry is a remote shard request being retried after a
-	// transport failure or per-attempt timeout (umine/internal/shardrpc).
-	// Level carries the 1-based shard ordinal; Stats is empty — robustness
-	// events describe the transport, not mining work.
-	PhaseShardRetry ProgressPhase = "shard-retry"
-	// PhaseShardHedge is a hedged duplicate request being launched against
-	// a straggling shard; the first response to arrive wins and the loser
-	// is canceled. Level carries the 1-based shard ordinal.
-	PhaseShardHedge ProgressPhase = "shard-hedge"
-	// PhaseShardFailover is a shard's phase-1 mine degrading to the
-	// coordinator's local slice after the remote exhausted its retries.
-	// Level carries the 1-based shard ordinal.
-	PhaseShardFailover ProgressPhase = "shard-failover"
-	// PhaseShardRepush is the coordinator re-pushing a dataset slice to a
-	// shard that rejected a pinned version it does not hold (the coherence
-	// protocol's invalidation path). Level carries the 1-based shard
-	// ordinal.
-	PhaseShardRepush ProgressPhase = "shard-repush"
 	// PhaseExec is a run's execution-layer report: fan-out and kernel
 	// counters (ExecStats) that describe how the run executed rather than
 	// what it computed, and therefore live outside MiningStats. Emitted at

@@ -46,9 +46,8 @@ type Explanation struct {
 	// not what it computed; see core.ExecStats.
 	Sched *core.ExecStats `json:"sched,omitempty"`
 
-	// The executed plan, step by step, plus shard-robustness activity.
+	// The executed plan, step by step, plus each shard RPC attempt.
 	Steps         []Step         `json:"steps,omitempty"`
-	ShardEvents   []ShardEvent   `json:"shard_events,omitempty"`
 	ShardAttempts []ShardAttempt `json:"shard_attempts,omitempty"`
 
 	// BytesPushed / BytesMineRequests are the shardrpc transport's payload

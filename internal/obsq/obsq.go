@@ -24,8 +24,7 @@
 //   - Workload (workload.go): a rolling, exponentially-decayed profile of
 //     the query mix — arrival rate, latency quantiles and cache/ledger hit
 //     ratios per (dataset, algorithm, threshold band) — served at
-//     /debug/workload and used to pre-warm the result cache for the hottest
-//     triples after an ingest invalidates them.
+//     /debug/workload and on the dashboard.
 //
 //   - SLO (slo.go): per-route latency objectives with multi-window burn-rate
 //     gauges, so a scrape shows not just the p99 but how fast the error
@@ -71,15 +70,6 @@ type Step struct {
 	PeakTrackedBytes    int64 `json:"peak_tracked_bytes,omitempty"`
 }
 
-// ShardEvent is one shard-robustness progress event observed during the run
-// (the transport's own timeline comes from span attributes; these are the
-// coordinator-side counter events).
-type ShardEvent struct {
-	Kind  string    `json:"kind"` // shard-retry | shard-hedge | shard-failover | shard-repush
-	Shard int       `json:"shard"`
-	At    time.Time `json:"at"`
-}
-
 // Collector is the one consumer of a mine's progress stream: each level,
 // subtree or partition checkpoint becomes a costed Step and, under an
 // optional parent span, a completed child span covering the same interval,
@@ -90,16 +80,15 @@ type ShardEvent struct {
 type Collector struct {
 	parent *telemetry.Span
 
-	mu     sync.Mutex
-	lastT  time.Time
-	last   core.MiningStats
-	steps  []Step
-	events []ShardEvent
-	total  core.MiningStats
-	exec   core.ExecStats
-	hasEx  bool
-	done   bool
-	level  int
+	mu    sync.Mutex
+	lastT time.Time
+	last  core.MiningStats
+	steps []Step
+	total core.MiningStats
+	exec  core.ExecStats
+	hasEx bool
+	done  bool
+	level int
 }
 
 // NewCollector starts a collector; the construction time anchors the first
@@ -124,11 +113,6 @@ func (c *Collector) observe(ev core.ProgressEvent) {
 	defer c.mu.Unlock()
 	var step Step
 	switch ev.Phase {
-	case core.PhaseShardRetry, core.PhaseShardHedge, core.PhaseShardFailover, core.PhaseShardRepush:
-		// Administrative events, not execution checkpoints: the shardrpc
-		// backend records their spans itself, with better attribution.
-		c.events = append(c.events, ShardEvent{Kind: string(ev.Phase), Shard: ev.Level, At: now})
-		return
 	case core.PhaseExec:
 		// Execution-layer counters (fan-out tasks, kernel dispatch) arrive
 		// once per mining run; partitioned and sharded queries run several
@@ -276,21 +260,19 @@ func maxStats(a, b core.MiningStats) core.MiningStats {
 
 // Snapshot returns the collected plan steps, the run totals (the final
 // "done" counters when the run completed, the cumulative baseline
-// otherwise), the shard-robustness events, and whether a done event was
-// seen.
-func (c *Collector) Snapshot() (steps []Step, totals core.MiningStats, events []ShardEvent, done bool) {
+// otherwise), and whether a done event was seen.
+func (c *Collector) Snapshot() (steps []Step, totals core.MiningStats, done bool) {
 	if c == nil {
-		return nil, core.MiningStats{}, nil, false
+		return nil, core.MiningStats{}, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	steps = append([]Step(nil), c.steps...)
-	events = append([]ShardEvent(nil), c.events...)
 	totals = c.last
 	if c.done {
 		totals = c.total
 	}
-	return steps, totals, events, c.done
+	return steps, totals, c.done
 }
 
 // Exec returns the summed execution-layer counters and whether any PhaseExec

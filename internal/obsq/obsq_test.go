@@ -25,7 +25,7 @@ func TestCollectorLevelDeltas(t *testing.T) {
 		CandidatesGenerated: 25, CandidatesPruned: 3, DBScans: 2, TransactionsScanned: 150, HorizontalPlans: 2, VerticalPlans: 1, PostingsProbed: 40,
 	}})
 
-	steps, totals, _, done := col.Snapshot()
+	steps, totals, done := col.Snapshot()
 	if !done {
 		t.Fatal("done event not recorded")
 	}
@@ -64,7 +64,7 @@ func TestCollectorPartitionOffset(t *testing.T) {
 	fn(core.ProgressEvent{Phase: core.PhaseLevel, Level: 1, Stats: core.MiningStats{
 		CandidatesGenerated: 12, DBScans: 3, TransactionsScanned: 130,
 	}})
-	steps, _, _, _ := col.Snapshot()
+	steps, _, _ := col.Snapshot()
 	if len(steps) != 3 {
 		t.Fatalf("got %d steps, want 3", len(steps))
 	}
@@ -86,25 +86,9 @@ func TestCollectorSubtreeClamp(t *testing.T) {
 	fn := col.Progress()
 	fn(core.ProgressEvent{Phase: core.PhaseSubtree, Level: 1, Stats: core.MiningStats{CandidatesGenerated: 20}})
 	fn(core.ProgressEvent{Phase: core.PhaseSubtree, Level: 2, Stats: core.MiningStats{CandidatesGenerated: 15}})
-	steps, _, _, _ := col.Snapshot()
+	steps, _, _ := col.Snapshot()
 	if steps[1].CandidatesGenerated != 0 {
 		t.Errorf("out-of-order subtree delta = %d, want clamp to 0", steps[1].CandidatesGenerated)
-	}
-}
-
-// TestCollectorShardEvents: shard-robustness phases land in the event
-// timeline, not the plan steps.
-func TestCollectorShardEvents(t *testing.T) {
-	col := NewCollector(nil)
-	fn := col.Progress()
-	fn(core.ProgressEvent{Phase: core.PhaseShardRetry, Level: 1})
-	fn(core.ProgressEvent{Phase: core.PhaseShardHedge, Level: 0})
-	steps, _, events, _ := col.Snapshot()
-	if len(steps) != 0 {
-		t.Errorf("shard events produced %d plan steps", len(steps))
-	}
-	if len(events) != 2 || events[0].Kind != "shard-retry" || events[0].Shard != 1 || events[1].Kind != "shard-hedge" {
-		t.Errorf("events: %+v", events)
 	}
 }
 
@@ -123,7 +107,7 @@ func TestCollectorExecFold(t *testing.T) {
 	fn(core.ProgressEvent{Phase: core.PhaseExec, Exec: core.ExecStats{
 		TasksSpawned: 4, ScalarIntersects: 5,
 	}})
-	steps, _, _, _ := col.Snapshot()
+	steps, _, _ := col.Snapshot()
 	if len(steps) != 0 {
 		t.Errorf("exec events produced %d plan steps", len(steps))
 	}
@@ -146,7 +130,7 @@ func TestNilCollector(t *testing.T) {
 	if col.MaxLevel() != 0 {
 		t.Error("nil collector MaxLevel != 0")
 	}
-	if steps, _, _, done := col.Snapshot(); steps != nil || done {
+	if steps, _, done := col.Snapshot(); steps != nil || done {
 		t.Error("nil collector Snapshot not empty")
 	}
 	if _, ok := col.Exec(); ok {
@@ -155,20 +139,18 @@ func TestNilCollector(t *testing.T) {
 }
 
 // TestCollectorSpans: checkpoint events become completed child spans of the
-// parent; shard-robustness phases and the final done event are skipped (the
-// shardrpc backend owns those spans, and the done interval is the parent).
+// parent; the final done event is skipped (its interval is the parent).
 func TestCollectorSpans(t *testing.T) {
 	tr := telemetry.NewTrace("mine")
 	fn := NewCollector(tr.Root()).Progress()
 	fn(core.ProgressEvent{Algorithm: "UApriori", Phase: core.PhaseLevel, Level: 1})
 	fn(core.ProgressEvent{Algorithm: "UApriori", Phase: core.PhaseLevel, Level: 2,
 		Stats: core.MiningStats{CandidatesGenerated: 42}})
-	fn(core.ProgressEvent{Phase: core.PhaseShardRetry})
 	fn(core.ProgressEvent{Phase: core.PhaseDone})
 
 	td := tr.Finish()
 	if got := len(td.Root.Children); got != 2 {
-		t.Fatalf("got %d checkpoint spans, want 2 (robustness + done skipped): %+v", got, td.Root.Children)
+		t.Fatalf("got %d checkpoint spans, want 2 (done skipped): %+v", got, td.Root.Children)
 	}
 	l2, ok := td.Root.Find("level 2")
 	if !ok || l2.Attrs["candidates"] != "42" || l2.Attrs["algorithm"] != "UApriori" {
@@ -196,7 +178,7 @@ func TestCollectorSpansConcurrent(t *testing.T) {
 	if got := len(tr.Finish().Root.Children); got != 400 {
 		t.Errorf("got %d spans, want 400", got)
 	}
-	if steps, _, _, _ := col.Snapshot(); len(steps) != 400 {
+	if steps, _, _ := col.Snapshot(); len(steps) != 400 {
 		t.Errorf("got %d steps, want 400", len(steps))
 	}
 }
@@ -211,7 +193,7 @@ func TestCollectorNilParent(t *testing.T) {
 	}
 	fn(core.ProgressEvent{Phase: core.PhasePartition, Level: 1, Stats: core.MiningStats{CandidatesGenerated: 3}})
 	fn(core.ProgressEvent{Phase: core.PhaseLevel, Level: 1, Stats: core.MiningStats{CandidatesGenerated: 5}})
-	steps, _, _, _ := col.Snapshot()
+	steps, _, _ := col.Snapshot()
 	if len(steps) != 2 || steps[0].Phase != "partition" || steps[1].Phase != "level" {
 		t.Errorf("steps: %+v", steps)
 	}
@@ -227,7 +209,7 @@ func TestCollectorStepSpanTiming(t *testing.T) {
 		time.Sleep(time.Duration(i) * time.Millisecond)
 		fn(core.ProgressEvent{Phase: core.PhaseLevel, Level: i})
 	}
-	steps, _, _, _ := col.Snapshot()
+	steps, _, _ := col.Snapshot()
 	spans := tr.Finish().Root.Children
 	if len(steps) != 3 || len(spans) != 3 {
 		t.Fatalf("got %d steps and %d spans, want 3 each", len(steps), len(spans))
@@ -255,7 +237,7 @@ func TestCollectorUnfinishedTotals(t *testing.T) {
 		fn(core.ProgressEvent{Phase: core.PhasePartition, Level: i + 1, Stats: st})
 		want.Add(st)
 	}
-	_, totals, _, done := col.Snapshot()
+	_, totals, done := col.Snapshot()
 	if done {
 		t.Fatal("unfinished run reported done")
 	}
@@ -314,35 +296,6 @@ func TestWorkloadDecayAndRatios(t *testing.T) {
 	prof = w.Snapshot()
 	if got := prof.Groups[0].Weight; got < 0.99 || got > 1.01 {
 		t.Errorf("decayed weight = %g, want ~1", got)
-	}
-}
-
-// TestWorkloadHottest: ranked by decayed weight, scoped to the dataset,
-// error-only groups skipped, capped at n.
-func TestWorkloadHottest(t *testing.T) {
-	now := time.Unix(1_000_000, 0)
-	w := NewWorkload(time.Minute)
-	w.now = func() time.Time { return now }
-
-	for i := 0; i < 3; i++ {
-		w.Observe(Record{Dataset: "d", Algorithm: "UApriori", MinESup: 0.05, Path: "mined"})
-	}
-	w.Observe(Record{Dataset: "d", Algorithm: "UH-Mine", MinESup: 0.01, Path: "cache-hit"})
-	w.Observe(Record{Dataset: "d", Algorithm: "DPB", MinSup: 0.2, PFT: 0.9, Path: "error"})
-	w.Observe(Record{Dataset: "other", Algorithm: "UApriori", MinESup: 0.05, Path: "mined"})
-
-	hot := w.Hottest("d", 8)
-	if len(hot) != 2 {
-		t.Fatalf("Hottest returned %d records, want 2 (error-only group and other dataset skipped): %+v", len(hot), hot)
-	}
-	if hot[0].Algorithm != "UApriori" || hot[1].Algorithm != "UH-Mine" {
-		t.Errorf("Hottest order: %+v", hot)
-	}
-	if got := w.Hottest("d", 1); len(got) != 1 {
-		t.Errorf("Hottest(1) returned %d", len(got))
-	}
-	if w.Hottest("d", 0) != nil {
-		t.Error("Hottest(0) != nil")
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"umine/internal/core"
 	"umine/internal/obsq"
@@ -30,9 +29,6 @@ func normalizeExplanation(ex *obsq.Explanation) {
 		ex.Steps[i].PeakTrackedBytes = 0
 	}
 	ex.Totals.PeakTrackedBytes = 0
-	for i := range ex.ShardEvents {
-		ex.ShardEvents[i].At = time.Time{}
-	}
 	for i := range ex.ShardAttempts {
 		ex.ShardAttempts[i].StartUnixNano = 0
 		ex.ShardAttempts[i].DurationMS = 0

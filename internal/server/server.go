@@ -20,10 +20,20 @@
 //     of both frequentness definitions;
 //   - singleflight.go — identical concurrent queries mine once and share
 //     the result;
+//   - shard.go — scatter-gather mining of sharded datasets, in process or
+//     over remote shard servers (umine/internal/shardrpc);
+//   - subscribe.go — continuous queries: incremental-maintenance ledgers
+//     refreshed on ingest and streamed as result-set diffs over /subscribe;
+//   - obsq.go — query-level observability: /explain, the workload profile
+//     and the dashboard data;
+//   - stats.go — the counter set: the Stats snapshot and the one table
+//     that renders it on /stats, /metrics and /debug/dashboard;
 //   - http.go — the HTTP/JSON surface (/datasets, /mine, /ingest,
-//     /healthz, /stats) reusing the core result-set codecs;
-//   - loadbench.go — the closed-loop load benchmark behind
-//     `userve -loadbench` and BENCH_server.json.
+//     /subscribe, /explain, /healthz, /stats, /metrics and the /debug
+//     pages) reusing the core result-set codecs;
+//   - loadbench.go, incbench.go — the closed-loop load, partition and
+//     incremental benchmarks behind `userve -loadbench` and the
+//     BENCH_server/partition/incremental.json reports.
 package server
 
 import (
@@ -64,10 +74,6 @@ type Config struct {
 	// retries fails over to an in-process mine of its slice, and results stay
 	// bit-identical to the local backend. Nil mines shards in-process.
 	ShardPool *shardrpc.Pool
-	// ShardProgress observes the remote backend's robustness events
-	// (PhaseShardRetry/Hedge/Failover/Repush; Level is the 1-based shard
-	// ordinal). Must be fast and safe for concurrent use. May be nil.
-	ShardProgress core.ProgressFunc
 	// Telemetry, when non-nil, collects per-request traces and serves the
 	// Prometheus-style metrics: every /mine and /ingest (and every direct
 	// Mine call) runs under a trace retained in the hub's ring, the
@@ -75,11 +81,6 @@ type Config struct {
 	// histograms are registered on the hub's Registry. Nil disables all of
 	// it at zero per-request cost.
 	Telemetry *telemetry.Hub
-	// PrewarmHot > 0 re-mines up to this many of a dataset's hottest
-	// workload groups after an ingest invalidates its cache, so the next
-	// queries of the observed mix hit a warm cache instead of paying a cold
-	// mine. 0 disables pre-warming.
-	PrewarmHot int
 }
 
 // Per-route SLO latency targets behind the umine_slo_burn_rate gauges and
@@ -130,12 +131,6 @@ type Server struct {
 	// TestStatsPartitionSnapshotConsistent documents).
 	partMu sync.Mutex
 	part   partitionCounters
-	// Remote-shard robustness counters (the /stats shard block); only the
-	// RPC backend moves them.
-	shardRetries   atomic.Uint64
-	shardHedges    atomic.Uint64
-	shardFailovers atomic.Uint64
-	shardRepushes  atomic.Uint64
 
 	// Per-phase latency histograms, registered on Config.Telemetry's
 	// registry (nil histograms no-op when telemetry is disabled).
@@ -154,13 +149,11 @@ type Server struct {
 	subscribers  atomic.Int64
 
 	// Query-level observability (obsq.go in this package): the rolling
-	// workload profile behind /debug/workload and the ingest pre-warm, the
-	// per-route SLO trackers, and the pre-warm coalescing state.
+	// workload profile behind /debug/workload and the per-route SLO
+	// trackers.
 	workload  *obsq.Workload
 	sloMine   *obsq.SLO
 	sloIngest *obsq.SLO
-	prewarmMu sync.Mutex
-	prewarms  map[string]*prewarmState
 }
 
 // partitionCounters is the /stats partition block, moved as a unit under
@@ -179,7 +172,6 @@ func New(cfg Config) *Server {
 	s.workload = obsq.NewWorkload(0)
 	s.sloMine = obsq.NewSLO(defaultMineSLOTarget, 0)
 	s.sloIngest = obsq.NewSLO(defaultIngestSLOTarget, 0)
-	s.prewarms = map[string]*prewarmState{}
 	s.reg.init()
 	if cfg.CacheEntries >= 0 {
 		max := cfg.CacheEntries
@@ -207,107 +199,6 @@ func New(cfg Config) *Server {
 		s.registerMetrics(cfg.Telemetry.Metrics)
 	}
 	return s
-}
-
-// registerMetrics exposes the server's counters and gauges as func-backed
-// /metrics families over the same atomics /stats reads (one source of
-// truth, no double counting) and creates the per-phase latency histograms.
-func (s *Server) registerMetrics(reg *telemetry.Registry) {
-	counter := func(name, help string, v *atomic.Uint64) {
-		reg.CounterFunc(name, help, nil, func() float64 { return float64(v.Load()) })
-	}
-	counter("umine_requests_total", "Mine requests received.", &s.requests)
-	counter("umine_ingests_total", "Ingest batches applied.", &s.ingests)
-	counter("umine_errors_total", "Failed mine requests.", &s.errorCount)
-	counter("umine_canceled_total", "Mine requests aborted by cancellation or deadline.", &s.canceledCount)
-	for _, c := range []struct {
-		outcome string
-		v       *atomic.Uint64
-	}{
-		{CacheHit, &s.cacheHits},
-		{CacheFiltered, &s.cacheFiltered},
-		{CacheMiss, &s.cacheMisses},
-		{CacheCoalesced, &s.coalesced},
-		{CacheBypassed, &s.uncached},
-	} {
-		v := c.v
-		reg.CounterFunc("umine_cache_requests_total", "Mine requests by cache outcome.",
-			telemetry.Labels{"outcome": c.outcome}, func() float64 { return float64(v.Load()) })
-	}
-	partCounter := func(name, help string, field func(partitionCounters) uint64) {
-		reg.CounterFunc(name, help, nil, func() float64 {
-			s.partMu.Lock()
-			defer s.partMu.Unlock()
-			return float64(field(s.part))
-		})
-	}
-	partCounter("umine_sharded_mines_total", "Completed scatter-gather mines.",
-		func(p partitionCounters) uint64 { return p.shardedMines })
-	partCounter("umine_partitions_mined_total", "Phase-1 partitions mined across sharded mines.",
-		func(p partitionCounters) uint64 { return p.partitions })
-	partCounter("umine_phase2_candidates_total", "Candidates verified by phase 2 across sharded mines.",
-		func(p partitionCounters) uint64 { return p.candidates })
-	counter("umine_shard_retries_total", "Shard RPC attempts retried.", &s.shardRetries)
-	counter("umine_shard_hedges_total", "Hedged duplicate shard requests launched.", &s.shardHedges)
-	counter("umine_shard_failovers_total", "Shards failed over to in-process mining.", &s.shardFailovers)
-	counter("umine_shard_repushes_total", "Slices re-pushed after a stale-pin reject.", &s.shardRepushes)
-	counter("umine_incremental_updates_total", "Ledger refreshes applied for continuous queries.", &s.incUpdates)
-	counter("umine_incremental_fallbacks_total", "Ledger refreshes that fell back to a full rebuild.", &s.incFallbacks)
-	reg.GaugeFunc("umine_subscribers", "Live continuous-query subscribers.", nil,
-		func() float64 { return float64(s.subscribers.Load()) })
-	reg.GaugeFunc("umine_incremental_border_itemsets", "Itemsets tracked below the cutoff across registered ledgers.", nil,
-		func() float64 { return float64(s.borderItemsets()) })
-	reg.GaugeFunc("umine_in_flight", "Mining jobs executing or queued past the semaphore.", nil,
-		func() float64 { return float64(s.inFlight.Load()) })
-	reg.GaugeFunc("umine_datasets", "Registered datasets.", nil,
-		func() float64 { return float64(s.reg.len()) })
-	reg.GaugeFunc("umine_cache_entries", "Result-cache entries resident.", nil, func() float64 {
-		if s.cache == nil {
-			return 0
-		}
-		return float64(s.cache.len())
-	})
-	reg.GaugeFunc("umine_bytes_resident", "Total arena bytes across registered datasets.", nil, func() float64 {
-		var b int64
-		for _, d := range s.reg.list() {
-			b += d.info().BytesResident
-		}
-		return float64(b)
-	})
-	reg.GaugeFunc("umine_goroutines", "Goroutines in the serving process.", nil,
-		func() float64 { return float64(runtime.NumGoroutine()) })
-	reg.GaugeFunc("umine_process_uptime_seconds", "Seconds since the serving process started.", nil,
-		func() float64 { return time.Since(s.start).Seconds() })
-	reg.GaugeFunc("umine_build_info", "Build metadata; always 1.", telemetry.BuildInfoLabels(),
-		func() float64 { return 1 })
-	for _, route := range []struct {
-		name string
-		slo  *obsq.SLO
-	}{{"mine", s.sloMine}, {"ingest", s.sloIngest}} {
-		slo := route.slo
-		reg.GaugeFunc("umine_slo_target_seconds", "Per-route SLO latency target.",
-			telemetry.Labels{"route": route.name},
-			func() float64 { return slo.Target().Seconds() })
-		for _, win := range []struct {
-			label string
-			d     time.Duration
-		}{{"5m", obsq.SLOWindowShort}, {"1h", obsq.SLOWindowLong}} {
-			d := win.d
-			reg.GaugeFunc("umine_slo_burn_rate", "Error-budget burn rate over the trailing window (1.0 = on budget).",
-				telemetry.Labels{"route": route.name, "window": win.label},
-				func() float64 { return slo.BurnRate(d) })
-		}
-	}
-	s.histMine = reg.Histogram("umine_mine_duration_seconds",
-		"End-to-end latency of Mine requests (cache hits included).", nil, nil)
-	s.histShard = reg.Histogram("umine_shard_phase1_duration_seconds",
-		"Latency of one shard's phase-1 mine inside a scatter (retries and failover included).", nil, nil)
-	s.histMerge = reg.Histogram("umine_merge_duration_seconds",
-		"Latency of the phase-1 candidate-union merge.", nil, nil)
-	s.histPhase2 = reg.Histogram("umine_phase2_duration_seconds",
-		"Latency of the restricted phase-2 verification mine.", nil, nil)
-	s.histNotify = reg.Histogram("umine_ingest_notify_duration_seconds",
-		"Latency from ingest arrival to the refreshed diff's broadcast.", nil, nil)
 }
 
 // ErrUnknownDataset reports a query against a dataset name that was never
@@ -359,10 +250,6 @@ type MineRequest struct {
 	// decisions it reports (which backend ran, how wide the scatter was, a
 	// cache entry's provenance, the mine's progress collector).
 	exec *execRecord
-	// internal marks server-originated requests (cache pre-warm): they mine
-	// and fill the cache normally but stay out of the workload profile and
-	// the SLO — they are not client traffic.
-	internal bool
 }
 
 // execRecord captures one request's execution decisions for /explain.
@@ -434,9 +321,6 @@ func (s *Server) Mine(ctx context.Context, req MineRequest) (*MineResponse, erro
 	defer func() {
 		elapsed := time.Since(start)
 		s.histMine.ObserveExemplar(elapsed.Seconds(), traceID)
-		if req.internal {
-			return
-		}
 		if path == "error" {
 			s.sloMine.ObserveBad()
 		} else {
@@ -726,121 +610,7 @@ func (s *Server) Ingest(ctx context.Context, name string, raw [][]core.Unit) (In
 		// ingest responds now, subscribers get their diffs when the
 		// background refresh lands (subscribe.go).
 		s.notifyIngest(name, t0)
-		// Re-warm the invalidated cache for the observed hot queries, also
-		// off the request path (obsq.go in this package).
-		s.kickPrewarm(name)
 	}
 	s.sloIngest.Observe(time.Since(t0))
 	return res, nil
-}
-
-// Stats is a point-in-time snapshot of the server's counters.
-type Stats struct {
-	UptimeSeconds float64 `json:"uptime_seconds"`
-	Datasets      int     `json:"datasets"`
-	Requests      uint64  `json:"requests"`
-	CacheHits     uint64  `json:"cache_hits"`
-	CacheFiltered uint64  `json:"cache_filtered"`
-	CacheMisses   uint64  `json:"cache_misses"`
-	Coalesced     uint64  `json:"coalesced"`
-	Uncached      uint64  `json:"uncached"`
-	Ingests       uint64  `json:"ingests"`
-	Errors        uint64  `json:"errors"`
-	// Canceled counts mining requests aborted by cancellation or deadline
-	// (while queued or in flight); every canceled request also counts as an
-	// error.
-	Canceled     uint64 `json:"canceled"`
-	InFlight     int64  `json:"in_flight"`
-	CacheEntries int    `json:"cache_entries"`
-	// Scatter-gather counters: completed sharded mines, partitions mined
-	// across them (phase 1), candidates the phase-2 verification checked,
-	// and cumulative candidate-union merge time. ShardSlowestMS accumulates
-	// each sharded mine's slowest single shard (the straggler) — divided by
-	// ShardedMines it is the mean per-mine straggler cost, directly
-	// comparable against PartitionMergeMS for the phase-1-vs-merge latency
-	// breakdown.
-	ShardedMines     uint64  `json:"sharded_mines"`
-	PartitionsMined  uint64  `json:"partitions_mined"`
-	Phase2Candidates uint64  `json:"phase2_candidates"`
-	PartitionMergeMS float64 `json:"partition_merge_ms"`
-	ShardSlowestMS   float64 `json:"shard_slowest_ms"`
-	// Remote-shard robustness counters (zero unless a shard pool is
-	// configured): retried shard RPC attempts, hedged duplicates launched
-	// against stragglers, shards failed over to in-process mining, and
-	// coherence re-pushes after a shard rejected a pinned version.
-	ShardRetries   uint64 `json:"shard_retries"`
-	ShardHedges    uint64 `json:"shard_hedges"`
-	ShardFailovers uint64 `json:"shard_failovers"`
-	ShardRepushes  uint64 `json:"shard_repushes"`
-	// RemoteShards is the configured shard pool's width (0 = in-process).
-	RemoteShards int `json:"remote_shards,omitempty"`
-	// Continuous-query counters: registered incremental ledgers, live
-	// subscribers, ledger refreshes applied, and how many of those fell
-	// back to a full rebuild (window eviction, shrink, border exhaustion,
-	// or an algorithm with no candidate floor).
-	Ledgers              int    `json:"ledgers"`
-	Subscribers          int64  `json:"subscribers"`
-	IncrementalUpdates   uint64 `json:"incremental_updates"`
-	IncrementalFallbacks uint64 `json:"incremental_fallbacks"`
-	// BytesResident totals the datasets' arena footprints (columns, offset
-	// tables, built vertical indexes); DatasetBytesResident breaks it down
-	// per dataset. Sharded views share one arena, counted once.
-	BytesResident        int64            `json:"bytes_resident"`
-	DatasetBytesResident map[string]int64 `json:"dataset_bytes_resident,omitempty"`
-}
-
-// Stats snapshots the server counters.
-func (s *Server) Stats() Stats {
-	st := Stats{
-		UptimeSeconds:  time.Since(s.start).Seconds(),
-		Datasets:       s.reg.len(),
-		Requests:       s.requests.Load(),
-		CacheHits:      s.cacheHits.Load(),
-		CacheFiltered:  s.cacheFiltered.Load(),
-		CacheMisses:    s.cacheMisses.Load(),
-		Coalesced:      s.coalesced.Load(),
-		Uncached:       s.uncached.Load(),
-		Ingests:        s.ingests.Load(),
-		Errors:         s.errorCount.Load(),
-		Canceled:       s.canceledCount.Load(),
-		InFlight:       s.inFlight.Load(),
-		ShardRetries:   s.shardRetries.Load(),
-		ShardHedges:    s.shardHedges.Load(),
-		ShardFailovers: s.shardFailovers.Load(),
-		ShardRepushes:  s.shardRepushes.Load(),
-
-		Ledgers:              len(s.ledgerEntries()),
-		Subscribers:          s.subscribers.Load(),
-		IncrementalUpdates:   s.incUpdates.Load(),
-		IncrementalFallbacks: s.incFallbacks.Load(),
-	}
-	// The partition block is read in one critical section — the same one
-	// the sharded-mine Observe hook writes under — so the snapshot is
-	// internally consistent: a scrape racing a sharded mine sees either
-	// all of that mine's counters or none, and partitions_mined can never
-	// lead sharded_mines.
-	s.partMu.Lock()
-	st.ShardedMines = s.part.shardedMines
-	st.PartitionsMined = s.part.partitions
-	st.Phase2Candidates = s.part.candidates
-	st.PartitionMergeMS = float64(s.part.mergeNanos) / 1e6
-	st.ShardSlowestMS = float64(s.part.stragNanos) / 1e6
-	s.partMu.Unlock()
-	if s.cfg.ShardPool != nil {
-		st.RemoteShards = s.cfg.ShardPool.Width()
-	}
-	if s.cache != nil {
-		st.CacheEntries = s.cache.len()
-	}
-	for _, d := range s.reg.list() {
-		// info() folds in any cached shard backend's per-view index bytes,
-		// so /stats and /datasets agree on a sharded dataset's footprint.
-		b := d.info().BytesResident
-		if st.DatasetBytesResident == nil {
-			st.DatasetBytesResident = make(map[string]int64)
-		}
-		st.DatasetBytesResident[d.name] = b
-		st.BytesResident += b
-	}
-	return st
 }

@@ -136,27 +136,15 @@ func (s *Server) shardBackend(name string, version uint64, db *core.Database, k 
 		return s.newShardBackend(name, version, db, k)
 	}
 	if p := s.cfg.ShardPool; p != nil {
-		be, err := p.Backend(name, version, db, k, s.shardHooks(), s.cfg.ShardProgress)
-		if err == nil {
-			return be
-		}
 		// A width the pool cannot serve (runMine clamps, so only a racing
 		// reconfiguration lands here) degrades to the in-process backend —
-		// the same graceful degradation a dead shard gets.
-		s.shardFailovers.Add(1)
+		// the same graceful degradation a dead shard gets, and the pool
+		// counts it as one failover.
+		if be, err := p.Backend(name, version, db, k); err == nil {
+			return be
+		}
 	}
 	return newLocalShards(db, k)
-}
-
-// shardHooks binds the remote backend's robustness events to the /stats
-// counters.
-func (s *Server) shardHooks() shardrpc.Hooks {
-	return shardrpc.Hooks{
-		OnRetry:    func(int) { s.shardRetries.Add(1) },
-		OnHedge:    func(int) { s.shardHedges.Add(1) },
-		OnFailover: func(int) { s.shardFailovers.Add(1) },
-		OnRepush:   func(int) { s.shardRepushes.Add(1) },
-	}
 }
 
 // indexBytes reports the shards' derived per-item index footprint (TID

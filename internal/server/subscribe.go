@@ -294,16 +294,6 @@ func (s *Server) ledgerEntries() []*ledgerEntry {
 	return out
 }
 
-// borderItemsets sums the ledgers' tracked-below-cutoff band sizes (the
-// umine_incremental_border_itemsets gauge).
-func (s *Server) borderItemsets() int {
-	total := 0
-	for _, e := range s.ledgerEntries() {
-		total += e.led.Stats().Border
-	}
-	return total
-}
-
 // handleSubscribe serves GET /subscribe: an SSE stream of result-set diffs
 // for one continuous query. Query parameters: dataset, algo (or algorithm),
 // and thresholds as min_esup / min_sup / pft — or threshold, which fills

@@ -49,8 +49,10 @@
 // canceled so the shard aborts its mine at the next cooperative
 // checkpoint); and a shard that exhausts its retries fails over to the
 // coordinator mining that slice locally, so a dead shard degrades
-// throughput but never availability or results. Every event is surfaced
-// twice: as server /stats counters (shard_retries, shard_hedges,
-// shard_failovers, shard_repushes) and as core.Progress events
-// (PhaseShardRetry/Hedge/Failover/Repush).
+// throughput but never availability or results. Every event is counted
+// once, in the Pool (Retries, Hedges, Failovers, Repushes), and the
+// coordinator's /stats, /metrics and dashboard all render those counters.
+// The per-attempt detail — which shard, which attempt, how it resolved —
+// lives in the trace spans (one child per attempt, hedge, re-push and
+// failover), which feed /debug/traces and /explain's shard_attempts.
 package shardrpc

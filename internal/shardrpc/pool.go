@@ -64,21 +64,6 @@ func (t Tuning) withDefaults() Tuning {
 	return t
 }
 
-// Hooks surface robustness events as counters; any field may be nil. The
-// serving layer binds them to its /stats atomics. shard is 0-based.
-type Hooks struct {
-	OnRetry    func(shard int)
-	OnHedge    func(shard int)
-	OnFailover func(shard int)
-	OnRepush   func(shard int)
-}
-
-func call(fn func(int), shard int) {
-	if fn != nil {
-		fn(shard)
-	}
-}
-
 // PoolConfig configures a shard pool.
 type PoolConfig struct {
 	// Addrs are the shard servers in shard order ("host:port" or full URL);
@@ -92,9 +77,8 @@ type PoolConfig struct {
 
 // Pool is the coordinator's client side of the shard protocol: a fixed,
 // ordered set of shard servers plus the retry/hedge/failover policy. One
-// Pool serves every dataset; per-(snapshot, K) Backends are cheap views.
-// Observers (Hooks, Progress) attach per Backend, so the pool itself stays
-// pure transport + tuning.
+// Pool serves every dataset; per-(snapshot, K) Backends are cheap views
+// that share the pool's counters.
 type Pool struct {
 	addrs  []string
 	tuning Tuning
@@ -102,10 +86,19 @@ type Pool struct {
 
 	// Data-movement accounting: request-body bytes sent to shard servers,
 	// split by endpoint. Pushes are the interesting cost (full slices or
-	// deltas); mine bodies are small pinned requests. Exposed on the
-	// coordinator's /metrics and in per-attempt span attributes.
+	// deltas); mine bodies are small pinned requests. Surfaced on the
+	// coordinator's dashboard, in /explain and in per-attempt span
+	// attributes.
 	pushBytes atomic.Int64
 	mineBytes atomic.Int64
+
+	// Robustness events, counted here and nowhere else: the coordinator's
+	// /stats, /metrics and dashboard read them through the accessors, and
+	// each event's per-attempt detail lives in the trace spans.
+	retries   atomic.Uint64
+	hedges    atomic.Uint64
+	failovers atomic.Uint64
+	repushes  atomic.Uint64
 }
 
 // BytesPushed is the cumulative request-body bytes of /push RPCs (slice
@@ -114,6 +107,20 @@ func (p *Pool) BytesPushed() int64 { return p.pushBytes.Load() }
 
 // BytesMineRequests is the cumulative request-body bytes of /mine1 RPCs.
 func (p *Pool) BytesMineRequests() int64 { return p.mineBytes.Load() }
+
+// Retries is the cumulative count of shard RPC attempts retried.
+func (p *Pool) Retries() uint64 { return p.retries.Load() }
+
+// Hedges is the cumulative count of hedged duplicate requests launched.
+func (p *Pool) Hedges() uint64 { return p.hedges.Load() }
+
+// Failovers is the cumulative count of shards failed over to in-process
+// mining.
+func (p *Pool) Failovers() uint64 { return p.failovers.Load() }
+
+// Repushes is the cumulative count of slices re-pushed after a stale-pin
+// reject.
+func (p *Pool) Repushes() uint64 { return p.repushes.Load() }
 
 // NewPool validates the address list and builds a Pool.
 func NewPool(cfg PoolConfig) (*Pool, error) {
@@ -180,33 +187,31 @@ func (p *Pool) Ping(ctx context.Context) error {
 // Backend pins a (dataset snapshot, scatter width) onto the pool's first k
 // shard servers and implements the serving layer's ShardBackend seam. db is
 // the coordinator's own snapshot — the source of pushes and the failover
-// path's data. k must be ≤ Width. hooks and progress observe the backend's
-// robustness events; either may be zero/nil.
-func (p *Pool) Backend(dataset string, version uint64, db *core.Database, k int, hooks Hooks, progress core.ProgressFunc) (*Backend, error) {
+// path's data. k must be ≤ Width; a width the pool cannot serve counts as
+// one failover, because the caller then mines the scatter in process — the
+// same degradation a dead shard gets.
+func (p *Pool) Backend(dataset string, version uint64, db *core.Database, k int) (*Backend, error) {
 	if k < 1 || k > len(p.addrs) {
+		p.failovers.Add(1)
 		return nil, fmt.Errorf("shardrpc: scatter width %d outside [1,%d]", k, len(p.addrs))
 	}
 	return &Backend{
-		pool:     p,
-		dataset:  dataset,
-		version:  version,
-		db:       db,
-		bounds:   partition.Boundaries(db.N(), k),
-		hooks:    hooks,
-		progress: progress,
+		pool:    p,
+		dataset: dataset,
+		version: version,
+		db:      db,
+		bounds:  partition.Boundaries(db.N(), k),
 	}, nil
 }
 
 // Backend scatters one dataset snapshot's phase-1 mines across remote
 // shards. Safe for concurrent MineShard calls.
 type Backend struct {
-	pool     *Pool
-	dataset  string
-	version  uint64
-	db       *core.Database
-	bounds   []partition.Range
-	hooks    Hooks
-	progress core.ProgressFunc
+	pool    *Pool
+	dataset string
+	version uint64
+	db      *core.Database
+	bounds  []partition.Range
 }
 
 // Shards implements the ShardBackend seam.
@@ -309,8 +314,7 @@ func (b *Backend) MineShard(ctx context.Context, shard int, algorithm string, th
 					fmt.Errorf("shard still stale after %d re-pushes: %w", repushes, res.err))
 			}
 			repushes++
-			call(b.hooks.OnRepush, shard)
-			b.progress.Emit(algorithm, core.PhaseShardRepush, shard+1, core.MiningStats{})
+			b.pool.repushes.Add(1)
 			rsp := span.StartChild("repush")
 			err := b.repush(ctx, shard, res.stale, req.TraceID, rsp)
 			rsp.End()
@@ -329,8 +333,7 @@ func (b *Backend) MineShard(ctx context.Context, shard int, algorithm string, th
 				backoff = t.RetryBackoffMax
 			}
 			retries++
-			call(b.hooks.OnRetry, shard)
-			b.progress.Emit(algorithm, core.PhaseShardRetry, shard+1, core.MiningStats{})
+			b.pool.retries.Add(1)
 			span.SetAttr("retries", fmt.Sprint(retries))
 			if err := sleepCtx(ctx, backoff); err != nil {
 				return nil, core.MiningStats{}, err
@@ -390,8 +393,7 @@ func (b *Backend) attempt(ctx context.Context, shard int, req MineShardRequest, 
 		case <-hedgeC:
 			hedgeC = nil
 			launched++
-			call(b.hooks.OnHedge, shard)
-			b.progress.Emit(req.Algorithm, core.PhaseShardHedge, shard+1, core.MiningStats{})
+			b.pool.hedges.Add(1)
 			launch("hedge")
 		case <-ctx.Done():
 			return attemptResult{kind: outcomeRetryable, err: ctx.Err()}
@@ -494,8 +496,7 @@ func (b *Backend) failover(ctx context.Context, shard int, algorithm string, th 
 	if err := ctx.Err(); err != nil {
 		return nil, core.MiningStats{}, err
 	}
-	call(b.hooks.OnFailover, shard)
-	b.progress.Emit(algorithm, core.PhaseShardFailover, shard+1, core.MiningStats{})
+	b.pool.failovers.Add(1)
 	fsp := telemetry.SpanFromContext(ctx).StartChild("failover")
 	fsp.SetAttr("cause", cause.Error())
 	defer fsp.End()

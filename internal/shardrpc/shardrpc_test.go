@@ -49,20 +49,6 @@ func startShards(t *testing.T, n int) ([]string, []*ShardServer) {
 	return addrs, servers
 }
 
-// counters wires Hooks to atomics for assertions.
-type counters struct {
-	retries, hedges, failovers, repushes atomic.Int64
-}
-
-func (c *counters) hooks() Hooks {
-	return Hooks{
-		OnRetry:    func(int) { c.retries.Add(1) },
-		OnHedge:    func(int) { c.hedges.Add(1) },
-		OnFailover: func(int) { c.failovers.Add(1) },
-		OnRepush:   func(int) { c.repushes.Add(1) },
-	}
-}
-
 // localShardMine is the reference: the same phase-1 mine the coordinator
 // would run in process over its own slice.
 func localShardMine(t *testing.T, db *core.Database, lo, hi int, alg string, th core.Thresholds) ([]core.Itemset, core.MiningStats) {
@@ -103,8 +89,7 @@ func TestMineShardRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var c counters
-	be, err := pool.Backend("d", 1, db, 2, c.hooks(), nil)
+	be, err := pool.Backend("d", 1, db, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,11 +106,11 @@ func TestMineShardRoundTrip(t *testing.T) {
 			t.Fatalf("shard %d stats: got %+v, want %+v", shard, stats, wantStats)
 		}
 	}
-	if got := c.repushes.Load(); got != 2 {
+	if got := pool.Repushes(); got != 2 {
 		t.Fatalf("repushes = %d, want 2 (one demand-population per empty shard)", got)
 	}
-	if c.retries.Load() != 0 || c.failovers.Load() != 0 {
-		t.Fatalf("unexpected retries/failovers: %d/%d", c.retries.Load(), c.failovers.Load())
+	if pool.Retries() != 0 || pool.Failovers() != 0 {
+		t.Fatalf("unexpected retries/failovers: %d/%d", pool.Retries(), pool.Failovers())
 	}
 	// Same pin again: served from the shard-local result cache.
 	if _, _, err := be.MineShard(context.Background(), 0, "UApriori", th, 1); err != nil {
@@ -148,8 +133,7 @@ func TestVersionInvalidationDeltaPush(t *testing.T) {
 	}
 	th := core.Thresholds{MinESup: 0.1}
 
-	var c counters
-	be1, err := pool.Backend("d", 1, old, 1, c.hooks(), nil)
+	be1, err := pool.Backend("d", 1, old, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +153,7 @@ func TestVersionInvalidationDeltaPush(t *testing.T) {
 		grown.SetNumItems(old.NumItems)
 	}
 
-	be2, err := pool.Backend("d", 2, grown, 1, c.hooks(), nil)
+	be2, err := pool.Backend("d", 2, grown, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,12 +188,11 @@ func TestContentChangeFullRepush(t *testing.T) {
 		t.Fatal(err)
 	}
 	th := core.Thresholds{MinESup: 0.1}
-	var c counters
-	be1, _ := pool.Backend("d", 1, v1, 1, c.hooks(), nil)
+	be1, _ := pool.Backend("d", 1, v1, 1)
 	if _, _, err := be1.MineShard(context.Background(), 0, "UApriori", th, 1); err != nil {
 		t.Fatal(err)
 	}
-	be2, _ := pool.Backend("d", 2, v2, 1, c.hooks(), nil)
+	be2, _ := pool.Backend("d", 2, v2, 1)
 	sets, _, err := be2.MineShard(context.Background(), 0, "UApriori", th, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -250,8 +233,7 @@ func TestTimeoutRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var c counters
-	be, _ := pool.Backend("d", 1, db, 1, c.hooks(), nil)
+	be, _ := pool.Backend("d", 1, db, 1)
 	th := core.Thresholds{MinESup: 0.1}
 	sets, _, err := be.MineShard(context.Background(), 0, "UApriori", th, 1)
 	if err != nil {
@@ -259,10 +241,10 @@ func TestTimeoutRetry(t *testing.T) {
 	}
 	wantSets, _ := localShardMine(t, db, 0, db.N(), "UApriori", th)
 	requireSameSets(t, sets, wantSets)
-	if got := c.retries.Load(); got != 2 {
+	if got := pool.Retries(); got != 2 {
 		t.Fatalf("retries = %d, want 2 (both injected failures retried)", got)
 	}
-	if c.failovers.Load() != 0 {
+	if pool.Failovers() != 0 {
 		t.Fatal("failover fired despite retries succeeding")
 	}
 }
@@ -307,8 +289,7 @@ func TestHedgeBeatsStraggler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var c counters
-	be, _ := pool.Backend("d", 1, db, 1, c.hooks(), nil)
+	be, _ := pool.Backend("d", 1, db, 1)
 	th := core.Thresholds{MinESup: 0.1}
 	sets, _, err := be.MineShard(context.Background(), 0, "UApriori", th, 1)
 	if err != nil {
@@ -316,10 +297,10 @@ func TestHedgeBeatsStraggler(t *testing.T) {
 	}
 	wantSets, _ := localShardMine(t, db, 0, db.N(), "UApriori", th)
 	requireSameSets(t, sets, wantSets)
-	if got := c.hedges.Load(); got < 1 {
+	if got := pool.Hedges(); got < 1 {
 		t.Fatalf("hedges = %d, want ≥ 1", got)
 	}
-	if c.failovers.Load() != 0 {
+	if pool.Failovers() != 0 {
 		t.Fatal("failover fired despite the hedge winning")
 	}
 }
@@ -340,8 +321,7 @@ func TestDeadShardFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var c counters
-	be, _ := pool.Backend("d", 1, db, 1, c.hooks(), nil)
+	be, _ := pool.Backend("d", 1, db, 1)
 	th := core.Thresholds{MinESup: 0.1}
 	sets, stats, err := be.MineShard(context.Background(), 0, "UApriori", th, 1)
 	if err != nil {
@@ -352,8 +332,8 @@ func TestDeadShardFailover(t *testing.T) {
 	if stats != wantStats {
 		t.Fatalf("failover stats: got %+v, want %+v", stats, wantStats)
 	}
-	if c.failovers.Load() != 1 || c.retries.Load() != 1 {
-		t.Fatalf("failovers/retries = %d/%d, want 1/1", c.failovers.Load(), c.retries.Load())
+	if pool.Failovers() != 1 || pool.Retries() != 1 {
+		t.Fatalf("failovers/retries = %d/%d, want 1/1", pool.Failovers(), pool.Retries())
 	}
 }
 
@@ -366,15 +346,14 @@ func TestMineShardCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var c counters
-	be, _ := pool.Backend("d", 1, db, 1, c.hooks(), nil)
+	be, _ := pool.Backend("d", 1, db, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, _, err = be.MineShard(ctx, 0, "UApriori", core.Thresholds{MinESup: 0.1}, 1)
 	if err == nil || ctx.Err() == nil {
 		t.Fatalf("canceled mine returned %v", err)
 	}
-	if c.failovers.Load() != 0 {
+	if pool.Failovers() != 0 {
 		t.Fatal("cancellation must not trigger failover")
 	}
 }
@@ -388,14 +367,13 @@ func TestMiningErrorIsPermanent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var c counters
-	be, _ := pool.Backend("d", 1, db, 1, c.hooks(), nil)
+	be, _ := pool.Backend("d", 1, db, 1)
 	_, _, err = be.MineShard(context.Background(), 0, "NoSuchMiner", core.Thresholds{MinESup: 0.1}, 1)
 	if err == nil {
 		t.Fatal("unknown algorithm succeeded")
 	}
-	if c.retries.Load() != 0 || c.failovers.Load() != 0 {
-		t.Fatalf("permanent error consumed retries/failovers: %d/%d", c.retries.Load(), c.failovers.Load())
+	if pool.Retries() != 0 || pool.Failovers() != 0 {
+		t.Fatalf("permanent error consumed retries/failovers: %d/%d", pool.Retries(), pool.Failovers())
 	}
 }
 
@@ -445,5 +423,21 @@ func TestTxHashRoundTrip(t *testing.T) {
 				t.Fatalf("tx %d unit %d differs: %v:%v vs %v:%v", j, i, a.Items[i], a.Probs[i], b.Items[i], b.Probs[i])
 			}
 		}
+	}
+}
+
+// TestBackendWidthRejectCountsFailover: a scatter wider than the pool is
+// rejected, and the rejection counts as one failover — the caller mines
+// that scatter in process.
+func TestBackendWidthRejectCountsFailover(t *testing.T) {
+	pool, err := NewPool(PoolConfig{Addrs: []string{"127.0.0.1:1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pool.Backend("d", 1, testDB(1, 10), 2); err == nil {
+		t.Fatal("a 2-wide scatter over a 1-shard pool was accepted")
+	}
+	if got := pool.Failovers(); got != 1 {
+		t.Fatalf("failovers = %d, want 1", got)
 	}
 }

@@ -3,7 +3,6 @@ package shardrpc
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"log/slog"
 	"math"
 	"net/http"
@@ -28,10 +27,8 @@ const maxShardCacheEntries = 64
 
 // ShardConfig parameterizes a ShardServer. The zero value is usable.
 type ShardConfig struct {
-	// Log receives one line per push and failed request (nil discards).
-	Log io.Writer
-	// Logger, when non-nil, takes precedence over Log: push and failure
-	// lines become structured records with the platform's shared keys.
+	// Logger receives one structured record per push and failed request,
+	// with the platform's shared keys. Nil logs nothing.
 	Logger *slog.Logger
 	// Telemetry, when non-nil, collects this shard's traces and metrics:
 	// /mine1 and /push run under traces (adopting the coordinator's wire
@@ -90,9 +87,6 @@ type ShardServer struct {
 
 // NewShardServer constructs an empty shard server; slices arrive via /push.
 func NewShardServer(cfg ShardConfig) *ShardServer {
-	if cfg.Log == nil {
-		cfg.Log = io.Discard
-	}
 	s := &ShardServer{cfg: cfg, start: time.Now(), held: make(map[string]*heldSlice)}
 	if hub := cfg.Telemetry; hub != nil {
 		s.registerMetrics(hub.Metrics)
@@ -100,34 +94,34 @@ func NewShardServer(cfg ShardConfig) *ShardServer {
 	return s
 }
 
-// registerMetrics exposes the shard counters as func-backed /metrics
-// families (no double counting — the atomics above stay authoritative) and
-// creates the endpoint latency histograms.
+// registerMetrics declares each ShardStats counter and gauge once as a
+// /metrics series — a scrape renders them all from one Stats snapshot —
+// next to the process gauges and the endpoint latency histograms.
 func (s *ShardServer) registerMetrics(reg *telemetry.Registry) {
-	counter := func(name, help string, v *atomic.Uint64) {
-		reg.CounterFunc(name, help, nil, func() float64 { return float64(v.Load()) })
-	}
-	counter("ushard_pushes_total", "Slices installed via /push.", &s.pushes)
-	counter("ushard_delta_pushes_total", "Pushes applied via the append-only delta path.", &s.deltaPushes)
-	counter("ushard_mines_total", "Phase-1 mines executed (cache hits excluded).", &s.mines)
-	counter("ushard_cache_hits_total", "Phase-1 mines answered from the slice result cache.", &s.cacheHits)
-	counter("ushard_stale_rejects_total", "Mine requests rejected 409 for pinning a version not held.", &s.staleRejects)
-	counter("ushard_errors_total", "Failed requests.", &s.errs)
-	reg.GaugeFunc("ushard_datasets", "Dataset slices currently held.", nil, func() float64 {
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-		return float64(len(s.held))
+	telemetry.RegisterSnapshot(reg, func() *ShardStats { v := s.Stats(); return &v }, []telemetry.Series[*ShardStats]{
+		{Name: "ushard_pushes_total", Help: "Slices installed via /push.", Type: telemetry.Counter,
+			Value: func(v *ShardStats) float64 { return float64(v.Pushes) }},
+		{Name: "ushard_delta_pushes_total", Help: "Pushes applied via the append-only delta path.", Type: telemetry.Counter,
+			Value: func(v *ShardStats) float64 { return float64(v.DeltaPushes) }},
+		{Name: "ushard_mines_total", Help: "Phase-1 mines executed (cache hits excluded).", Type: telemetry.Counter,
+			Value: func(v *ShardStats) float64 { return float64(v.Mines) }},
+		{Name: "ushard_cache_hits_total", Help: "Phase-1 mines answered from the slice result cache.", Type: telemetry.Counter,
+			Value: func(v *ShardStats) float64 { return float64(v.CacheHits) }},
+		{Name: "ushard_stale_rejects_total", Help: "Mine requests rejected 409 for pinning a version not held.", Type: telemetry.Counter,
+			Value: func(v *ShardStats) float64 { return float64(v.StaleRejects) }},
+		{Name: "ushard_errors_total", Help: "Failed requests.", Type: telemetry.Counter,
+			Value: func(v *ShardStats) float64 { return float64(v.Errors) }},
+		{Name: "ushard_datasets", Help: "Dataset slices currently held.", Type: telemetry.Gauge,
+			Value: func(v *ShardStats) float64 { return float64(len(v.Datasets)) }},
+		{Name: "ushard_bytes_resident", Help: "Total arena bytes of held slices.", Type: telemetry.Gauge,
+			Value: func(v *ShardStats) float64 { return float64(v.BytesResident) }},
+		{Name: "ushard_goroutines", Help: "Goroutines in the shard process.", Type: telemetry.Gauge,
+			Value: func(*ShardStats) float64 { return float64(runtime.NumGoroutine()) }},
+		{Name: "ushard_process_uptime_seconds", Help: "Seconds since the shard process started.", Type: telemetry.Gauge,
+			Value: func(*ShardStats) float64 { return time.Since(s.start).Seconds() }},
+		{Name: "umine_build_info", Help: "Build metadata; always 1.", Type: telemetry.Gauge,
+			Labels: telemetry.BuildInfoLabels(), Value: func(*ShardStats) float64 { return 1 }},
 	})
-	reg.GaugeFunc("ushard_bytes_resident", "Total arena bytes of held slices.", nil, func() float64 {
-		return float64(s.Stats().BytesResident)
-	})
-	reg.GaugeFunc("ushard_goroutines", "Goroutines in the shard process.", nil, func() float64 {
-		return float64(runtime.NumGoroutine())
-	})
-	reg.GaugeFunc("ushard_process_uptime_seconds", "Seconds since the shard process started.", nil,
-		func() float64 { return time.Since(s.start).Seconds() })
-	reg.GaugeFunc("umine_build_info", "Build metadata; always 1.", telemetry.BuildInfoLabels(),
-		func() float64 { return 1 })
 	s.histMine1 = reg.Histogram("ushard_mine1_duration_seconds",
 		"Latency of /mine1 phase-1 mines (cache hits included).", nil, nil)
 	s.histPush = reg.Histogram("ushard_push_duration_seconds",
@@ -282,9 +276,6 @@ func (s *ShardServer) handlePush(w http.ResponseWriter, r *http.Request) {
 		s.cfg.Logger.Info("pushed slice",
 			"dataset", req.Dataset, "version", req.Version, "lo", req.Lo, "hi", req.Hi,
 			"transactions", len(req.Transactions), "append", req.Append)
-	} else {
-		fmt.Fprintf(s.cfg.Log, "ushard: pushed %s v%d [%d,%d) (%d transactions, append=%v)\n",
-			req.Dataset, req.Version, req.Lo, req.Hi, len(req.Transactions), req.Append)
 	}
 	shardWriteJSON(w, http.StatusOK, PushResponse{Dataset: req.Dataset, Version: req.Version, N: db.N(), Appended: req.Append})
 }
@@ -390,8 +381,6 @@ func (s *ShardServer) fail(w http.ResponseWriter, status int, err error) {
 	s.errs.Add(1)
 	if s.cfg.Logger != nil {
 		s.cfg.Logger.Warn("request failed", "status", status, "error", err.Error())
-	} else {
-		fmt.Fprintf(s.cfg.Log, "ushard: HTTP %d: %v\n", status, err)
 	}
 	shardWriteJSON(w, status, errorResponse{Error: err.Error()})
 }

@@ -37,8 +37,7 @@ func TestTracePropagation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var c counters
-	be, err := pool.Backend("d", 1, db, 1, c.hooks(), nil)
+	be, err := pool.Backend("d", 1, db, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +55,7 @@ func TestTracePropagation(t *testing.T) {
 
 	// Demand population ran the coherence loop: a stale attempt, the
 	// re-push, then the answering attempt. Each wire round-trip is a span.
-	if got := c.repushes.Load(); got != 1 {
+	if got := pool.Repushes(); got != 1 {
 		t.Fatalf("repushes = %d, want 1", got)
 	}
 	if got := countSpans(td.Root, "attempt"); got != 2 {
@@ -129,8 +128,7 @@ func TestTraceRetrySpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var c counters
-	be, err := pool.Backend("d", 1, db, 1, c.hooks(), nil)
+	be, err := pool.Backend("d", 1, db, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,8 +175,7 @@ func TestTracelessMineCarriesNoSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var c counters
-	be, _ := pool.Backend("d", 1, db, 1, c.hooks(), nil)
+	be, _ := pool.Backend("d", 1, db, 1)
 	if _, _, err := be.MineShard(context.Background(), 0, "UApriori", core.Thresholds{MinESup: 0.1}, 1); err != nil {
 		t.Fatal(err)
 	}

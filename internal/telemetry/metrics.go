@@ -3,9 +3,9 @@ package telemetry
 // A hand-rolled Prometheus-text-format metrics registry: counters, gauges
 // and fixed-bucket histograms with atomic hot paths, no client_golang
 // dependency (the module's zero-dependency constraint). Counters and
-// gauges are func-backed views, so a server's existing atomic counters
-// feed /metrics without double counting; only histograms hold their own
-// state (atomic per-bucket counts).
+// gauges are views over a snapshot the owner already takes (a server's
+// Stats), read once per exposition, so /metrics neither double counts nor
+// tears; only histograms hold their own state (atomic per-bucket counts).
 
 import (
 	"fmt"
@@ -24,11 +24,18 @@ import (
 // Labels annotates one metric child; rendered sorted by key.
 type Labels map[string]string
 
-// metricChild is one labeled series inside a family.
+// metricChild is one labeled series inside a family: a histogram, or the
+// idx-th value of a snapshot group.
 type metricChild struct {
 	labels string // pre-rendered `k="v",k2="v2"` (no braces), "" when unlabeled
-	value  func() float64
+	group  *snapshotGroup
+	idx    int
 	hist   *Histogram
+}
+
+// snapshotGroup is the series of one RegisterSnapshot call.
+type snapshotGroup struct {
+	eval func() []float64 // one snapshot, one value per series in order
 }
 
 // metricFamily is one named metric with its help text, type, and children.
@@ -100,19 +107,44 @@ func escapeLabel(v string) string {
 	return strings.ReplaceAll(v, `"`, `\"`)
 }
 
-// CounterFunc registers a monotonic counter backed by fn (typically a
-// closure over an existing atomic counter).
-func (r *Registry) CounterFunc(name, help string, labels Labels, fn func() float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.family(name, help, "counter").add(&metricChild{labels: renderLabels(labels), value: fn})
+// Metric types a Series declares.
+const (
+	Counter = "counter"
+	Gauge   = "gauge"
+)
+
+// Series declares one counter or gauge series read from a snapshot of type
+// S: its family (name, help text, Counter or Gauge), its label set, and how
+// to read its value from the snapshot.
+type Series[S any] struct {
+	Name, Help string
+	Type       string
+	Labels     Labels
+	Value      func(S) float64
 }
 
-// GaugeFunc registers a gauge backed by fn.
-func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64) {
+// RegisterSnapshot registers counter and gauge series that all read one
+// snapshot: each exposition calls snap once and evaluates every series
+// against that one value, so a scrape racing an update sees it in all of
+// the group's families or in none. It is the only way to register a
+// counter or gauge.
+func RegisterSnapshot[S any](r *Registry, snap func() S, series []Series[S]) {
+	g := &snapshotGroup{eval: func() []float64 {
+		v := snap()
+		out := make([]float64, len(series))
+		for i, s := range series {
+			out[i] = s.Value(v)
+		}
+		return out
+	}}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.family(name, help, "gauge").add(&metricChild{labels: renderLabels(labels), value: fn})
+	for i, s := range series {
+		if s.Type != Counter && s.Type != Gauge {
+			panic(fmt.Sprintf("telemetry: metric %s has type %q, want counter or gauge", s.Name, s.Type))
+		}
+		r.family(s.Name, s.Help, s.Type).add(&metricChild{labels: renderLabels(s.Labels), group: g, idx: i})
+	}
 }
 
 // Histogram registers and returns a fixed-bucket histogram series. buckets
@@ -141,26 +173,29 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	}
 	r.mu.Unlock()
 
+	// Each snapshot group is evaluated once, at its first series, and every
+	// family of the group renders from that one evaluation.
+	snaps := map[*snapshotGroup][]float64{}
 	for _, f := range fams {
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ); err != nil {
 			return err
 		}
 		for _, c := range f.children {
-			if err := c.write(w, f.name); err != nil {
+			if c.hist != nil {
+				if err := c.hist.write(w, f.name, c.labels); err != nil {
+					return err
+				}
+				continue
+			}
+			vals, ok := snaps[c.group]
+			if !ok {
+				vals = c.group.eval()
+				snaps[c.group] = vals
+			}
+			if _, err := fmt.Fprintf(w, "%s %s\n", seriesName(f.name, c.labels), formatFloat(vals[c.idx])); err != nil {
 				return err
 			}
 		}
-	}
-	return nil
-}
-
-// write renders one child series.
-func (c *metricChild) write(w io.Writer, name string) error {
-	if c.hist != nil {
-		return c.hist.write(w, name, c.labels)
-	}
-	if _, err := fmt.Fprintf(w, "%s %s\n", seriesName(name, c.labels), formatFloat(c.value())); err != nil {
-		return err
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -59,9 +60,13 @@ req_seconds_count{phase="mine"} 3
 // children sorted by label set, label keys sorted, values escaped.
 func TestRegistryText(t *testing.T) {
 	r := NewRegistry()
-	r.GaugeFunc("zz_gauge", "a gauge", nil, func() float64 { return 2.5 })
-	r.CounterFunc("aa_total", "a counter", Labels{"outcome": "hit"}, func() float64 { return 3 })
-	r.CounterFunc("aa_total", "a counter", Labels{"outcome": `quo"te`}, func() float64 { return 1 })
+	RegisterSnapshot(r, func() float64 { return 2.5 }, []Series[float64]{
+		{Name: "zz_gauge", Help: "a gauge", Type: Gauge, Value: func(v float64) float64 { return v }},
+	})
+	RegisterSnapshot(r, func() struct{} { return struct{}{} }, []Series[struct{}]{
+		{Name: "aa_total", Help: "a counter", Type: Counter, Labels: Labels{"outcome": "hit"}, Value: func(struct{}) float64 { return 3 }},
+		{Name: "aa_total", Help: "a counter", Type: Counter, Labels: Labels{"outcome": `quo"te`}, Value: func(struct{}) float64 { return 1 }},
+	})
 
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
@@ -80,6 +85,43 @@ zz_gauge 2.5
 	}
 }
 
+// TestRegisterSnapshotOnce: one exposition takes one snapshot per group,
+// however many families and series the group spans, so its families render
+// mutually consistent values.
+func TestRegisterSnapshotOnce(t *testing.T) {
+	type pair struct{ a, b uint64 }
+	var calls int
+	var cur pair
+	r := NewRegistry()
+	RegisterSnapshot(r, func() pair {
+		calls++
+		p := cur
+		// Move the source after each read: a second read inside one
+		// exposition would render a torn pair.
+		cur.a++
+		cur.b += 2
+		return p
+	}, []Series[pair]{
+		{Name: "b_total", Help: "b", Type: Counter, Value: func(p pair) float64 { return float64(p.b) }},
+		{Name: "a_total", Help: "a", Type: Counter, Value: func(p pair) float64 { return float64(p.a) }},
+		{Name: "a_total", Help: "a", Type: Counter, Labels: Labels{"x": "y"}, Value: func(p pair) float64 { return float64(p.a) }},
+	})
+	for i := 0; i < 3; i++ {
+		var sb strings.Builder
+		if err := r.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("# HELP a_total a\n# TYPE a_total counter\na_total %d\na_total{x=\"y\"} %d\n"+
+			"# HELP b_total b\n# TYPE b_total counter\nb_total %d\n", i, i, 2*i)
+		if sb.String() != want {
+			t.Errorf("exposition %d:\n%s\nwant:\n%s", i, sb.String(), want)
+		}
+	}
+	if calls != 3 {
+		t.Errorf("snapshot taken %d times over 3 expositions, want 3", calls)
+	}
+}
+
 // TestRegistryPanics pins the registration bugs that must fail loudly: a
 // family registered under two types, and a duplicate label set.
 func TestRegistryPanics(t *testing.T) {
@@ -93,12 +135,16 @@ func TestRegistryPanics(t *testing.T) {
 		fn()
 	}
 	r := NewRegistry()
-	r.CounterFunc("m_total", "m", nil, func() float64 { return 0 })
-	mustPanic("type mismatch", func() {
-		r.GaugeFunc("m_total", "m", nil, func() float64 { return 0 })
-	})
-	mustPanic("duplicate labels", func() {
-		r.CounterFunc("m_total", "m", nil, func() float64 { return 0 })
+	zero := func(int) float64 { return 0 }
+	one := func(typ string) []Series[int] {
+		return []Series[int]{{Name: "m_total", Help: "m", Type: typ, Value: zero}}
+	}
+	snap := func() int { return 0 }
+	RegisterSnapshot(r, snap, one(Counter))
+	mustPanic("type mismatch", func() { RegisterSnapshot(r, snap, one(Gauge)) })
+	mustPanic("duplicate labels", func() { RegisterSnapshot(r, snap, one(Counter)) })
+	mustPanic("unknown type", func() {
+		RegisterSnapshot(r, snap, []Series[int]{{Name: "h", Help: "h", Type: "histogram", Value: zero}})
 	})
 	mustPanic("non-increasing bounds", func() { NewHistogram([]float64{1, 1}) })
 	mustPanic("bad exponential", func() { ExponentialBuckets(0, 2, 4) })
@@ -166,7 +212,9 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 	var sb strings.Builder
 	r := NewRegistry()
-	r.CounterFunc("c_total", "c", nil, func() float64 { return float64(h.Count()) })
+	RegisterSnapshot(r, h.Count, []Series[uint64]{
+		{Name: "c_total", Help: "c", Type: Counter, Value: func(n uint64) float64 { return float64(n) }},
+	})
 	for i := 0; i < 50; i++ {
 		sb.Reset()
 		if err := r.WritePrometheus(&sb); err != nil {

@@ -32,9 +32,9 @@
 //
 //   - Metrics (metrics.go): a Registry of counters, gauges and fixed-bucket
 //     histograms with atomic hot paths, rendered in the Prometheus text
-//     exposition format (version 0.0.4). Counters and gauges are usually
-//     func-backed views over counters a server already keeps, so nothing
-//     is double-counted.
+//     exposition format (version 0.0.4). Counters and gauges are views
+//     over a snapshot a server already takes (RegisterSnapshot), read once
+//     per scrape, so nothing is double-counted and no scrape tears.
 //
 //   - Retention (hub.go): a Hub bundles a Registry with a bounded ring of
 //     the last N completed traces (served at /debug/traces) and an

@@ -18,7 +18,8 @@
 # `smoke_userve.sh metrics` boots the same three-process cluster and checks
 # the observability surface: /metrics on the coordinator and both shards
 # parses as Prometheus text with the expected families, histogram counts
-# stay monotonic across scrapes under load, and the sharded /mine leaves
+# stay monotonic across scrapes under load, /stats and /metrics agree on
+# each process's counters, and the sharded /mine leaves
 # one stitched trace (coordinator phases + wire-propagated shard spans) at
 # /debug/traces. Mirrored by the "Telemetry smoke" CI job; run locally via
 # `make smoke-metrics`.
@@ -282,6 +283,38 @@ if [ "$MODE" = "metrics" ]; then
         exit 1
     fi
     echo "smoke: histogram counts monotonic across scrapes ($C1 -> $C2)"
+
+    # same WHO STATS_FILE KEY METRICS_FILE SERIES: a /stats key and a
+    # /metrics series must read the same value.
+    same() {
+        S=$(grep -Eo "\"$3\": *[0-9.eE+-]+" "$2" | head -1 | sed 's/.*: *//')
+        M=$(metric "$4" "$5")
+        if [ -z "$S" ] || [ -z "$M" ] || ! awk -v a="$S" -v b="$M" 'BEGIN { exit !(a + 0 == b + 0) }'; then
+            echo "smoke: FAIL — $1 /stats $3=${S:-missing} but /metrics $5=${M:-missing}"
+            exit 1
+        fi
+    }
+    # /stats and /metrics render one counter set: read back to back with no
+    # traffic in between they must agree, on the coordinator (the shard
+    # pool's counters included) and on each shard.
+    STATUS=$(curl -s -o "$TMP/stats.json" -w '%{http_code}' "$BASE/stats")
+    check "coordinator /stats" 200 "$TMP/stats.json" "$STATUS"
+    same coordinator "$TMP/stats.json" requests "$TMP/m2.txt" umine_requests_total
+    same coordinator "$TMP/stats.json" sharded_mines "$TMP/m2.txt" umine_sharded_mines_total
+    same coordinator "$TMP/stats.json" shard_repushes "$TMP/m2.txt" umine_shard_repushes_total
+    if [ "$(metric "$TMP/m2.txt" umine_shard_repushes_total)" = "0" ]; then
+        echo "smoke: FAIL — the shard pool counted no re-pushes"
+        exit 1
+    fi
+    N=1
+    for SH in "$SHARD1" "$SHARD2"; do
+        scrape "shard $N (rescrape)" "http://$SH" "$TMP/shard${N}b.txt"
+        STATUS=$(curl -s -o "$TMP/shard${N}_stats.json" -w '%{http_code}' "http://$SH/stats")
+        check "shard $N /stats" 200 "$TMP/shard${N}_stats.json" "$STATUS"
+        same "shard $N" "$TMP/shard${N}_stats.json" mines "$TMP/shard${N}b.txt" ushard_mines_total
+        N=$((N + 1))
+    done
+    echo "smoke: /stats and /metrics agree on the coordinator and both shards"
 
     # The first mine's trace is retained and stitches the coordinator's
     # phase spans with the shard spans that rode back over the wire.

@@ -201,17 +201,6 @@ const (
 	// PhasePartition is one partition of a SON partitioned mine completing
 	// its phase-1 pass.
 	PhasePartition = core.PhasePartition
-	// PhaseShardRetry is a remote shard RPC being retried.
-	PhaseShardRetry = core.PhaseShardRetry
-	// PhaseShardHedge is a hedged duplicate launched against a straggling
-	// shard.
-	PhaseShardHedge = core.PhaseShardHedge
-	// PhaseShardFailover is a shard's phase-1 mine degrading to the
-	// coordinator after exhausted retries.
-	PhaseShardFailover = core.PhaseShardFailover
-	// PhaseShardRepush is the coordinator re-pushing a slice to a shard
-	// that rejected a pinned version (coherent invalidation).
-	PhaseShardRepush = core.PhaseShardRepush
 	// PhaseDone is the final event of a completed run.
 	PhaseDone = core.PhaseDone
 )
