@@ -54,9 +54,10 @@ test-cancel:
 ## test-partition: the SON partitioned-mining suites under the race detector —
 ## bit-identity of partitioned vs single-shot mines for every configuration,
 ## phase-1/phase-2 cancellation, the registry's partition capability
-## metadata, and the server's scatter-gather path
+## metadata, the server's scatter-gather path, and the server's Chernoff
+## screen of DPNB/DCNB (plain path and phase 2)
 test-partition:
-	$(GO) test -race -count=1 -run 'Partition|Shard|RegistryCapability' ./internal/partition/... ./internal/algo ./internal/server
+	$(GO) test -race -count=1 -run 'Partition|Shard|RegistryCapability|Screen' ./internal/partition/... ./internal/algo ./internal/algo/exact ./internal/server
 
 ## test-shardrpc: the distributed shard backend's fault-injection suites
 ## under the race detector — timeout→retry, straggler→hedge, dead

@@ -17,6 +17,14 @@
 //     expected support, which the shared counting pass already produced)
 //     and skip the exact computation when the bound already rules the
 //     candidate out.
+//
+// The bound only rejects itemsets whose exact frequent probability is at
+// most pft, so the screen never changes a result set. Miner.Screen runs it
+// in the NB configurations too: the serving layer sets it on every exact
+// miner it builds, so a served DPNB/DCNB mine returns the paper's DPNB/DCNB
+// results bit for bit, but with DPB/DCB's ChernoffPruned and
+// ExactEvaluations counters and timings. The registry, the CLIs and the
+// experiment harness never set it.
 package exact
 
 import (
@@ -57,6 +65,11 @@ type Miner struct {
 	Method Method
 	// Chernoff enables the Lemma 1 pruning (the "B" variants).
 	Chernoff bool
+	// Screen runs the Lemma 1 pruning without changing the configuration:
+	// an NB miner with Screen set returns its NB result set and Name, and
+	// counts the prunes in ChernoffPruned exactly as the B variant does.
+	// It is a no-op when Chernoff is set.
+	Screen bool
 	// Workers bounds the goroutines used by the counting pass and the
 	// per-candidate frequent-probability verification (0 or 1 = serial, the
 	// paper's platform; negative = GOMAXPROCS). Each candidate's DP
@@ -116,7 +129,7 @@ func (m *Miner) Mine(ctx context.Context, db *core.Database, th core.Thresholds)
 		Name:           m.Name(),
 		Restrict:       m.Restrict,
 		Decide: func(c *apriori.Candidate) (core.Result, bool) {
-			if m.Chernoff && prob.ChernoffInfrequent(c.ESup, msc, th.PFT) {
+			if (m.Chernoff || m.Screen) && prob.ChernoffInfrequent(c.ESup, msc, th.PFT) {
 				chernoffPruned.Add(1)
 				return core.Result{}, false
 			}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -361,8 +362,19 @@ func (db *Database) Slice(lo, hi int) *Database {
 	if lo < 0 || hi > db.N() || lo > hi {
 		panic(fmt.Sprintf("core: Slice(%d,%d) out of range [0,%d]", lo, hi, db.N()))
 	}
+	// The name is built in a stack buffer and converted once, so the
+	// allocation count is the same for every (lo, hi): fmt.Sprintf's
+	// pooled buffers vary it under the race detector, and strconv.Itoa
+	// returns static strings below 100.
+	var buf [64]byte
+	name := append(buf[:0], db.Name...)
+	name = append(name, '[')
+	name = strconv.AppendInt(name, int64(lo), 10)
+	name = append(name, ':')
+	name = strconv.AppendInt(name, int64(hi), 10)
+	name = append(name, ']')
 	return &Database{
-		Name:     fmt.Sprintf("%s[%d:%d]", db.Name, lo, hi),
+		Name:     string(name),
 		NumItems: db.NumItems,
 		items:    db.items,
 		probs:    db.probs,

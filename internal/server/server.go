@@ -46,6 +46,7 @@ import (
 	"time"
 
 	"umine/internal/algo"
+	"umine/internal/algo/exact"
 	"umine/internal/core"
 	"umine/internal/obsq"
 	"umine/internal/shardrpc"
@@ -193,12 +194,25 @@ func New(cfg Config) *Server {
 		if err != nil {
 			return nil, err
 		}
-		return m.Mine(ctx, db, th)
+		return screened(m).Mine(ctx, db, th)
 	}
 	if cfg.Telemetry != nil {
 		s.registerMetrics(cfg.Telemetry.Metrics)
 	}
 	return s
+}
+
+// screened turns on Lemma 1's Chernoff screen (exact.Miner.Screen) for an
+// exact miner the server built, and passes every other miner through. A
+// screened DPNB/DCNB mine skips the DP/DC evaluation of each candidate the
+// bound proves infrequent, so it does DPB/DCB's work and returns DPNB/DCNB's
+// result set, label included. Only the server screens: the registry keeps
+// the paper's unscreened NB miners for the CLIs and the experiments.
+func screened(m core.Miner) core.Miner {
+	if em, ok := m.(*exact.Miner); ok {
+		em.Screen = true
+	}
+	return m
 }
 
 // ErrUnknownDataset reports a query against a dataset name that was never

@@ -75,8 +75,9 @@ func (l *localShards) MineShard(ctx context.Context, shard int, algorithm string
 
 // mineSharded runs one scatter-gather mine over the snapshot: the partition
 // engine drives phase 1 through the shard backend and phase 2 through the
-// restricted target miner, and its RunStats feed the /stats partition
-// counters. Results are bit-identical to s.mineFn on the same snapshot.
+// restricted, screened target miner, and its RunStats feed the /stats
+// partition counters. Results are bit-identical to s.mineFn on the same
+// snapshot.
 // version is the snapshot's registry version, pinned onto every remote
 // shard request.
 func (s *Server) mineSharded(ctx context.Context, algorithm string, d *dsEntry, db *core.Database, version uint64, k int, th core.Thresholds, opts core.Options, exec *execRecord) (*core.ResultSet, error) {
@@ -84,6 +85,14 @@ func (s *Server) mineSharded(ctx context.Context, algorithm string, d *dsEntry, 
 	eng, err := algo.NewPartitionEngine(algorithm, opts)
 	if err != nil {
 		return nil, err
+	}
+	newPhase2 := eng.NewPhase2
+	eng.NewPhase2 = func(o core.Options, allow func(core.Itemset) bool) (core.Miner, error) {
+		m, err := newPhase2(o, allow)
+		if err != nil {
+			return nil, err
+		}
+		return screened(m), nil
 	}
 	phase1, _ := algo.PartitionPhase1(algorithm)
 	backend := d.backendFor(db, version, k, s.shardBackend)
